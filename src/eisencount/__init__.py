@@ -10,15 +10,16 @@ value.
 from .arith import (ArithSieve, Factorization, build_sieve, euler_phi,
                     factorize, mobius, mobius_table, omega, phi_bounded,
                     radical, tau, totient_table)
-from .counting import (ExactCount, count_general_eisenstein, count_general_s,
+from .counting import (count_general_eisenstein, count_general_s,
                        count_monic_eisenstein, count_monic_s)
 from .density import (DensityEstimate, asymptotic_main, refined_asymptotic_theta,
                       rho_product, rho_series, theta_product, theta_series)
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, InvariantError
 from .oracle import (Polynomial, brute_count_general, brute_count_monic,
                      eisenstein_witnesses, is_eisenstein)
 from .report import (DensityTable, ErrorTermRow, density_table, emit_csv,
                      emit_json, error_term_profile)
+from .results import ExactCount
 
 __version__ = "1.0.0"
 
@@ -34,6 +35,6 @@ __all__ = [
     "rho_series", "asymptotic_main", "refined_asymptotic_theta",
     "DensityTable", "ErrorTermRow", "density_table", "error_term_profile",
     "emit_csv", "emit_json",
-    "BudgetExceededError",
+    "BudgetExceededError", "InvariantError",
     "__version__",
 ]

@@ -41,8 +41,8 @@ class ArithSieve:
     primes : numpy.ndarray
         All primes <= limit in ascending order.
 
-    Both arrays are marked read-only, so a sieve can be shared freely
-    across threads.
+    Both arrays are marked read-only, so no caller can alter a sieve
+    that another caller holds.
     """
 
     limit: int
@@ -71,7 +71,8 @@ def build_sieve(limit: int = DEFAULT_SIEVE_LIMIT, *,
     limit : int
         Inclusive upper end of the table, at least 2.
     max_limit : int, optional
-        Memory budget expressed as the largest acceptable ``limit``.
+        Memory budget expressed as the largest acceptable ``limit``.  It
+        can only lower the hard cap :data:`MAX_SIEVE_LIMIT`, never raise it.
 
     Returns
     -------
@@ -82,13 +83,14 @@ def build_sieve(limit: int = DEFAULT_SIEVE_LIMIT, *,
     ValueError
         If ``limit < 2``.
     BudgetExceededError
-        If ``limit > max_limit``.
+        If ``limit > min(max_limit, MAX_SIEVE_LIMIT)``, before allocating.
     """
     if limit < 2:
         raise ValueError(f"sieve limit must be at least 2, got {limit}")
-    if limit > max_limit:
+    budget = min(max_limit, MAX_SIEVE_LIMIT)
+    if limit > budget:
         raise BudgetExceededError(
-            f"sieve limit {limit} exceeds the memory budget {max_limit}"
+            f"sieve limit {limit} exceeds the memory budget {budget}"
         )
     spf = np.zeros(limit + 1, dtype=np.int32)
     for p in range(2, math.isqrt(limit) + 1):

@@ -10,37 +10,8 @@ gives the exact count, with arbitrary-precision integers throughout.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-
 from .arith import ArithSieve, mobius_table, phi_bounded
-
-VARIANTS = ("monic", "general")
-METHODS = ("brute", "inclusion_exclusion")
-
-
-@dataclass(frozen=True)
-class ExactCount:
-    """An exact polynomial count plus the parameters that produced it.
-
-    ``value`` is a non-negative integer, never a float; ``variant`` says
-    whether the leading coefficient was fixed to 1 (monic) or ranged over
-    the height box (general); ``method`` records which route computed it.
-    """
-
-    value: int
-    degree: int
-    height: int
-    variant: str
-    method: str
-
-    def __post_init__(self) -> None:
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}")
-        if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}")
-        if not 0 <= self.value <= (2 * self.height + 1) ** (self.degree + 1):
-            raise ValueError("count outside the possible range for (degree, height)")
+from .results import ExactCount
 
 
 def _validate_degree_height(d: int, H: int) -> None:
@@ -86,10 +57,13 @@ def count_general_s(d: int, s: int, H: int, sieve: ArithSieve) -> int:
     return (2 * q + 1) ** (d - 1) * phi_bounded(s, q, sieve) * phi_bounded(s, H, sieve)
 
 
-def _signed_sum(d: int, H: int, sieve: ArithSieve, per_s, mu: list[int],
-                start: int, stop: int) -> int:
+def _inclusion_exclusion(d: int, H: int, sieve: ArithSieve, per_s) -> int:
+    _validate_degree_height(d, H)
+    if H > sieve.limit:
+        raise ValueError(f"height {H} exceeds sieve limit {sieve.limit}")
+    mu = mobius_table(H, sieve).tolist()
     total = 0
-    for s in range(start, stop):
+    for s in range(2, H + 1):
         m = mu[s]
         if m == 0:
             continue
@@ -97,31 +71,7 @@ def _signed_sum(d: int, H: int, sieve: ArithSieve, per_s, mu: list[int],
     return total
 
 
-def _inclusion_exclusion(d: int, H: int, sieve: ArithSieve, per_s,
-                         threads: int) -> int:
-    _validate_degree_height(d, H)
-    if H > sieve.limit:
-        raise ValueError(f"height {H} exceeds sieve limit {sieve.limit}")
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
-    mu = mobius_table(H, sieve).tolist()
-    span = H - 1  # moduli 2..H
-    if threads == 1 or span <= 1:
-        return _signed_sum(d, H, sieve, per_s, mu, 2, H + 1)
-    blocks = min(threads, span)
-    edges = [2 + (span * i) // blocks for i in range(blocks + 1)]
-    # Partial sums over contiguous blocks; exact integer addition makes the
-    # result independent of the partition.
-    with ThreadPoolExecutor(max_workers=blocks) as pool:
-        parts = pool.map(
-            lambda i: _signed_sum(d, H, sieve, per_s, mu, edges[i], edges[i + 1]),
-            range(blocks),
-        )
-        return sum(parts)
-
-
-def count_monic_eisenstein(d: int, H: int, sieve: ArithSieve, *,
-                           threads: int = 1) -> ExactCount:
+def count_monic_eisenstein(d: int, H: int, sieve: ArithSieve) -> ExactCount:
     """Exact number of monic Eisenstein polynomials of degree d, height <= H.
 
     Evaluates the alternating sum over square-free moduli
@@ -138,17 +88,13 @@ def count_monic_eisenstein(d: int, H: int, sieve: ArithSieve, *,
     H : int
         Height bound for the non-leading coefficients, at least 1; must
         not exceed ``sieve.limit``.
-    threads : int, optional
-        Split the modulus range into this many contiguous blocks summed
-        concurrently.  The result is identical for any value.
     """
-    value = _inclusion_exclusion(d, H, sieve, count_monic_s, threads)
+    value = _inclusion_exclusion(d, H, sieve, count_monic_s)
     return ExactCount(value=value, degree=d, height=H, variant="monic",
                       method="inclusion_exclusion")
 
 
-def count_general_eisenstein(d: int, H: int, sieve: ArithSieve, *,
-                             threads: int = 1) -> ExactCount:
+def count_general_eisenstein(d: int, H: int, sieve: ArithSieve) -> ExactCount:
     """Exact number of Eisenstein polynomials with all of a_0..a_d bounded by H.
 
     Same alternating sum as :func:`count_monic_eisenstein` built on
@@ -156,6 +102,6 @@ def count_general_eisenstein(d: int, H: int, sieve: ArithSieve, *,
     height box as well (a zero leading coefficient never occurs, since no
     prime can avoid dividing 0).
     """
-    value = _inclusion_exclusion(d, H, sieve, count_general_s, threads)
+    value = _inclusion_exclusion(d, H, sieve, count_general_s)
     return ExactCount(value=value, degree=d, height=H, variant="general",
                       method="inclusion_exclusion")

@@ -23,11 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
 from .arith import ArithSieve, mobius_table, totient_table
+from .errors import InvariantError
 
 KINDS = ("theta", "rho")
 ESTIMATE_METHODS = ("euler_product", "mobius_series")
@@ -59,11 +59,11 @@ class DensityEstimate:
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}")
+            raise InvariantError(f"kind must be one of {KINDS}")
         if self.method not in ESTIMATE_METHODS:
-            raise ValueError(f"method must be one of {ESTIMATE_METHODS}")
+            raise InvariantError(f"method must be one of {ESTIMATE_METHODS}")
         if not self.lower <= self.value <= self.upper:
-            raise ValueError("bracket does not contain its own value")
+            raise InvariantError("bracket does not contain its own value")
 
     @property
     def width(self) -> Fraction:
@@ -88,9 +88,11 @@ def _ceil_div(a: int, b: int) -> int:
 def _product_estimate(kind: str, d: int, sieve: ArithSieve, prime_count: int | None,
                       prime_limit: int | None, precision_bits: int) -> DensityEstimate:
     _validate_common(d, precision_bits)
-    if (prime_count is None) == (prime_limit is None):
-        raise ValueError("give exactly one of prime_count or prime_limit")
-    if prime_count is not None:
+    if prime_count is not None and prime_limit is not None:
+        raise ValueError("give at most one of prime_count or prime_limit")
+    if prime_limit is None:
+        if prime_count is None:
+            prime_count = DEFAULT_PRIME_COUNT
         if prime_count < 1:
             raise ValueError(f"prime_count must be positive, got {prime_count}")
         if prime_count > sieve.prime_count():
@@ -138,7 +140,6 @@ def _product_estimate(kind: str, d: int, sieve: ArithSieve, prime_count: int | N
                            method="euler_product")
 
 
-@lru_cache(maxsize=8)
 def _squarefree_terms(sieve: ArithSieve, limit: int):
     """Square-free s in 2..limit with mu(s) and phi(s), as parallel lists."""
     mu = mobius_table(limit, sieve)
@@ -192,8 +193,6 @@ def theta_product(d: int, sieve: ArithSieve, *, prime_count: int | None = None,
     with neither given, the first 10,000 primes are used.  The bracket
     encloses the full infinite product.
     """
-    if prime_count is None and prime_limit is None:
-        prime_count = DEFAULT_PRIME_COUNT
     return _product_estimate("theta", d, sieve, prime_count, prime_limit,
                              precision_bits)
 
@@ -202,8 +201,6 @@ def rho_product(d: int, sieve: ArithSieve, *, prime_count: int | None = None,
                 prime_limit: int | None = None,
                 precision_bits: int = DEFAULT_PRECISION_BITS) -> DensityEstimate:
     """Euler-product evaluation of rho_d; see :func:`theta_product`."""
-    if prime_count is None and prime_limit is None:
-        prime_count = DEFAULT_PRIME_COUNT
     return _product_estimate("rho", d, sieve, prime_count, prime_limit,
                              precision_bits)
 

@@ -8,3 +8,11 @@ class BudgetExceededError(RuntimeError):
     (enumeration size, sieve memory) than the budget allows and must
     either raise the budget explicitly or shrink the request.
     """
+
+
+class InvariantError(ValueError):
+    """A result container was built with values it can never hold.
+
+    Signals a broken internal invariant (a count outside its possible
+    range, a bracket missing its own value) rather than a bad argument.
+    """

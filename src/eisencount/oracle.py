@@ -11,8 +11,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .counting import ExactCount
 from .errors import BudgetExceededError
+from .results import ExactCount
 
 DEFAULT_ENUMERATION_BUDGET = 10**8
 

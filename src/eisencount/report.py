@@ -16,10 +16,10 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .arith import ArithSieve
-from .counting import (VARIANTS, count_general_eisenstein,
-                       count_monic_eisenstein)
+from .counting import count_general_eisenstein, count_monic_eisenstein
 from .density import (DEFAULT_PRIME_COUNT, DensityEstimate, rho_product,
                       theta_product)
+from .results import VARIANTS
 
 PROFILE_COLUMNS = ("variant", "d", "H", "exact", "main", "residual", "ratio")
 TABLE_COLUMNS = ("d", "theta", "rho")
@@ -100,7 +100,9 @@ def density_table(d_min: int, d_max: int, sieve: ArithSieve, *,
     """Tabulate theta_d and rho_d for d_min <= d <= d_max at 4 decimals.
 
     Values come from the Euler products truncated to ``prime_count``
-    primes; display strings round ties away from zero.
+    primes; display strings round ties away from zero.  Every digit shown
+    is certified: both ends of each bracket must round to the same string,
+    otherwise ValueError names the constant that is not.
     """
     if not 2 <= d_min <= d_max:
         raise ValueError(f"need 2 <= d_min <= d_max, got {d_min}..{d_max}")
@@ -108,14 +110,25 @@ def density_table(d_min: int, d_max: int, sieve: ArithSieve, *,
     for d in range(d_min, d_max + 1):
         theta = theta_product(d, sieve, prime_count=prime_count)
         rho = rho_product(d, sieve, prime_count=prime_count)
-        rows.append((d, round_half_away(theta.value), round_half_away(rho.value)))
+        rows.append((d, _certified_display(theta), _certified_display(rho)))
     return DensityTable(rows=tuple(rows), prime_count=prime_count)
+
+
+def _certified_display(est: DensityEstimate) -> str:
+    """The 4-decimal display of an estimate whose bracket fixes every digit."""
+    lower, upper = round_half_away(est.lower), round_half_away(est.upper)
+    if lower != upper:
+        name, param = est.truncation
+        raise ValueError(
+            f"{est.kind}({est.degree}) is not certain to 4 decimals with "
+            f"{name}={param}: its bracket rounds to {lower}..{upper}"
+        )
+    return lower
 
 
 def error_term_profile(variant: str, d: int, heights: Sequence[int],
                        sieve: ArithSieve, *,
-                       prime_count: int = DEFAULT_PRIME_COUNT,
-                       threads: int = 1) -> list[ErrorTermRow]:
+                       prime_count: int = DEFAULT_PRIME_COUNT) -> list[ErrorTermRow]:
     """Compare exact counts against main terms along increasing heights.
 
     For each H in ``heights`` (strictly increasing, every one at least 2)
@@ -141,7 +154,7 @@ def error_term_profile(variant: str, d: int, heights: Sequence[int],
         count_fn, power = count_general_eisenstein, d + 1
     rows = []
     for H in heights:
-        exact = count_fn(d, H, sieve, threads=threads).value
+        exact = count_fn(d, H, sieve).value
         main = constant.value * 2 ** power * H ** power
         residual = exact - main
         ratio = float(residual / error_normalization(variant, d, H))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eisencount import arith
 from eisencount.arith import (build_sieve, euler_phi, factorize, mobius,
                               mobius_table, omega, phi_bounded, radical, tau,
                               totient_table)
@@ -39,6 +40,17 @@ def test_build_sieve_rejects_bad_limits():
         build_sieve(10**9)
     with pytest.raises(BudgetExceededError):
         build_sieve(5000, max_limit=4999)
+
+
+def test_max_limit_cannot_raise_the_hard_cap(monkeypatch):
+    # A tiny cap stands in for the real one, so a refusal that came too
+    # late would allocate kilobytes, not gigabytes.
+    monkeypatch.setattr(arith, "MAX_SIEVE_LIMIT", 1000)
+    assert build_sieve(1000).limit == 1000
+    with pytest.raises(BudgetExceededError):
+        build_sieve(1001)
+    with pytest.raises(BudgetExceededError):
+        build_sieve(1001, max_limit=10**10)
 
 
 def test_sieve_structural_invariants(sieve):

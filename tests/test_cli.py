@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from click.testing import CliRunner
 
-from eisencount import cli
+from eisencount import arith, cli
 from eisencount.counting import ExactCount
 from eisencount.density import DensityEstimate
 
@@ -78,6 +78,26 @@ def test_sieve_limit_env_refuses_large_heights(runner):
                                       "--variant", "monic"],
                            env={"EISEN_SIEVE_LIMIT": "100"})
     assert result.exit_code == 3
+
+
+def test_sieve_limit_flag_cannot_raise_the_hard_cap(runner, monkeypatch):
+    monkeypatch.setattr(arith, "MAX_SIEVE_LIMIT", 1000)
+    result = runner.invoke(cli.main, ["--sieve-limit", str(10**10), "count",
+                                      "--degree", "2", "--height", "1001",
+                                      "--variant", "monic"])
+    assert result.exit_code == 3
+    assert "refused" in result.output
+
+
+def test_count_broken_invariant_exits_4(runner, monkeypatch):
+    def impossible(d, H, sieve, **kwargs):
+        return ExactCount(value=-1, degree=d, height=H, variant="monic",
+                          method="inclusion_exclusion")
+    monkeypatch.setattr(cli, "count_monic_eisenstein", impossible)
+    result = runner.invoke(cli.main, ["count", "--degree", "2", "--height", "2",
+                                      "--variant", "monic"])
+    assert result.exit_code == 4
+    assert "invariant" in result.output
 
 
 def test_count_both_mismatch_exits_4(runner, monkeypatch):
@@ -172,6 +192,16 @@ def test_table_single_degree_argument(runner):
     assert result.output.splitlines()[1].startswith("5,")
 
 
+def test_table_uncertain_digit_exits_2(runner):
+    # With 50 primes theta(2) = 0.2510 to 4 decimals, but the true value
+    # rounds to 0.2515: the bracket [0.25097, 0.25751] does not fix it.
+    result = runner.invoke(cli.main, ["table", "--degrees", "2..3",
+                                      "--prime-count", "50"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "theta(2)" in result.stderr and "prime_count=50" in result.stderr
+
+
 def test_table_empty_range_exits_2(runner):
     result = runner.invoke(cli.main, ["table", "--degrees", "5..4"])
     assert result.exit_code == 2
@@ -246,19 +276,9 @@ def test_error_term_rejects_garbage_heights(runner):
         assert result.exit_code == 2, bad
 
 
-def test_threads_flag_accepted(runner):
-    result = runner.invoke(cli.main, ["--threads", "4", "count",
-                                      "--degree", "3", "--height", "30",
-                                      "--variant", "monic"])
-    assert result.exit_code == 0
-    result_single = runner.invoke(cli.main, ["count", "--degree", "3",
-                                             "--height", "30",
-                                             "--variant", "monic"])
-    assert result.output == result_single.output
-
-
 def test_help_lists_subcommands(runner):
     result = runner.invoke(cli.main, ["--help"])
     assert result.exit_code == 0
     for name in ("count", "density", "table", "verify", "error-term"):
         assert name in result.output
+    assert "--threads" not in result.output

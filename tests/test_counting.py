@@ -70,8 +70,6 @@ def test_argument_validation(sieve):
     with pytest.raises(ValueError):
         count_monic_eisenstein(2, sieve.limit + 1, sieve)
     with pytest.raises(ValueError):
-        count_monic_eisenstein(2, 5, sieve, threads=0)
-    with pytest.raises(ValueError):
         count_monic_s(2, 0, 5, sieve)
     with pytest.raises(ValueError):
         count_monic_s(2, sieve.limit + 1, 5, sieve)
@@ -142,14 +140,6 @@ def test_parity_and_variant_ordering(sieve):
 def test_counts_monotone_in_height(sieve):
     values = [count_monic_eisenstein(2, H, sieve).value for H in range(1, 26)]
     assert values == sorted(values)
-
-
-def test_thread_count_never_changes_the_result(sieve):
-    base = count_monic_eisenstein(2, 300, sieve).value
-    for threads in (2, 3, 7, 16):
-        assert count_monic_eisenstein(2, 300, sieve, threads=threads).value == base
-    assert count_general_eisenstein(3, 150, sieve, threads=4).value == \
-        count_general_eisenstein(3, 150, sieve).value
 
 
 # Empirical constant: the measured supremum of the normalized deviation

@@ -1,11 +1,14 @@
 """Eisenstein predicate and brute-force enumeration tests."""
 
+import ast
 import itertools
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from eisencount import oracle
 from eisencount.errors import BudgetExceededError
 from eisencount.oracle import (Polynomial, brute_count_general,
                                brute_count_monic, eisenstein_witnesses,
@@ -159,3 +162,18 @@ def test_witnesses_divide_the_constant_term(coeffs):
 def test_witness_list_is_ascending(coeffs):
     ws = eisenstein_witnesses(Polynomial(tuple(coeffs)))
     assert ws == sorted(ws)
+
+
+def test_oracle_imports_nothing_from_the_fast_path():
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    internal = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level or module.startswith("eisencount"):
+                internal.add(module)
+        elif isinstance(node, ast.Import):
+            internal.update(alias.name for alias in node.names
+                            if alias.name.startswith("eisencount"))
+    # Only the neutral modules: the oracle stays independent of counting.
+    assert internal == {"errors", "results"}
