@@ -61,6 +61,11 @@ class ArithSieve:
             )
         return int(self.primes[n - 1])
 
+    def primes_upto(self, limit: int) -> np.ndarray:
+        """Read-only view of the primes <= limit, in ascending order."""
+        cut = int(np.searchsorted(self.primes, limit, side="right"))
+        return self.primes[:cut]
+
 
 def build_sieve(limit: int = DEFAULT_SIEVE_LIMIT, *,
                 max_limit: int = MAX_SIEVE_LIMIT) -> ArithSieve:
@@ -207,11 +212,6 @@ def phi_bounded(s: int, H: int, sieve: ArithSieve) -> int:
     return sum(sign * (2 * (H // t) + 1) for t, sign in signed_divisors)
 
 
-def _primes_upto(limit: int, sieve: ArithSieve) -> np.ndarray:
-    cut = int(np.searchsorted(sieve.primes, limit, side="right"))
-    return sieve.primes[:cut]
-
-
 def mobius_table(limit: int, sieve: ArithSieve) -> np.ndarray:
     """Vector of mu(n) for 0 <= n <= limit; mu[0] is set to 0.
 
@@ -221,7 +221,7 @@ def mobius_table(limit: int, sieve: ArithSieve) -> np.ndarray:
     """
     _check_range(max(limit, 1), sieve)
     mu = np.ones(limit + 1, dtype=np.int64)
-    for p in _primes_upto(limit, sieve).tolist():
+    for p in sieve.primes_upto(limit).tolist():
         mu[p:: p] *= -1
         pp = p * p
         if pp <= limit:
@@ -234,7 +234,7 @@ def totient_table(limit: int, sieve: ArithSieve) -> np.ndarray:
     """Vector of phi(n) for 0 <= n <= limit; phi[0] is set to 0."""
     _check_range(max(limit, 1), sieve)
     phi = np.arange(limit + 1, dtype=np.int64)
-    for p in _primes_upto(limit, sieve).tolist():
+    for p in sieve.primes_upto(limit).tolist():
         phi[p:: p] -= phi[p:: p] // p
     phi[0] = 0
     return phi

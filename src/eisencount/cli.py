@@ -111,6 +111,21 @@ def _sieve_for(cfg: CliConfig, needed: int):
     return build_sieve(max(needed, 2), max_limit=cfg.sieve_limit)
 
 
+FORMAT_OPTION = click.option("--format", "fmt",
+                             type=click.Choice(["text", "csv", "json"]),
+                             default=None, help="Defaults to --output-format.")
+
+
+def _emit(fmt: str, obj, text_lines) -> None:
+    """Print obj as CSV or JSON, or else the given text lines."""
+    if fmt == "csv":
+        click.echo(report.emit_csv(obj), nl=False)
+    elif fmt == "json":
+        click.echo(report.emit_json(obj), nl=False)
+    else:
+        click.echo("\n".join(text_lines))
+
+
 @click.group(context_settings={"auto_envvar_prefix": "EISEN"})
 @click.option("--sieve-limit", type=click.IntRange(min=2),
               default=DEFAULT_SIEVE_LIMIT, show_default=True,
@@ -120,7 +135,7 @@ def _sieve_for(cfg: CliConfig, needed: int):
               help="Most polynomials a brute-force enumeration may visit.")
 @click.option("--precision-bits", type=click.IntRange(min=MIN_PRECISION_BITS),
               default=DEFAULT_PRECISION_BITS, show_default=True,
-              help="Working precision for density brackets (bits).")
+              help="Working precision (bits) of the density command's brackets.")
 @click.option("--output-format", type=click.Choice(["text", "csv", "json"]),
               default="text", show_default=True,
               help="Default rendering for commands with a --format flag.")
@@ -183,22 +198,31 @@ def cmd_density(cfg: CliConfig, degree, kind, prime_count, prime_limit,
     """Evaluate a density constant with its rigorous bracket."""
     if prime_count is not None and prime_limit is not None:
         raise click.UsageError("give at most one of --prime-count/--prime-limit")
+    product = method in ("product", "both")
+    series = method in ("series", "both")
+    for flag, value, used in (("--prime-count", prime_count, product),
+                              ("--prime-limit", prime_limit, product),
+                              ("--series-limit", series_limit, series)):
+        if value is not None and not used:
+            raise click.UsageError(f"{flag} does not apply to --method {method}")
+    # One sieve sized for every route, so a refusal comes before any work.
+    sizes = []
+    if product:
+        sizes.append(prime_limit or
+                     _nth_prime_bound(prime_count or DEFAULT_PRIME_COUNT))
+    if series:
+        series_limit = series_limit or DEFAULT_SERIES_LIMIT
+        sizes.append(series_limit)
+    sieve = _sieve_for(cfg, max(sizes))
     estimates = []
-    if method in ("product", "both"):
-        if prime_count is None and prime_limit is None:
-            prime_count = DEFAULT_PRIME_COUNT
-        needed = (_nth_prime_bound(prime_count) if prime_count is not None
-                  else prime_limit)
-        sieve = _sieve_for(cfg, needed)
+    if product:
         fn = theta_product if kind == "theta" else rho_product
         estimates.append(fn(degree, sieve, prime_count=prime_count,
                             prime_limit=prime_limit,
                             precision_bits=cfg.precision_bits))
-    if method in ("series", "both"):
-        limit = series_limit if series_limit is not None else DEFAULT_SERIES_LIMIT
-        sieve = _sieve_for(cfg, limit)
+    if series:
         fn = theta_series if kind == "theta" else rho_series
-        estimates.append(fn(degree, sieve, series_limit=limit,
+        estimates.append(fn(degree, sieve, series_limit=series_limit,
                             precision_bits=cfg.precision_bits))
     for est in estimates:
         name, param = est.truncation
@@ -220,8 +244,7 @@ def cmd_density(cfg: CliConfig, degree, kind, prime_count, prime_limit,
               show_default=True, help="Degree range, e.g. 2..10 or a single degree.")
 @click.option("--prime-count", type=click.IntRange(min=1),
               default=DEFAULT_PRIME_COUNT, show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["text", "csv", "json"]),
-              default=None, help="Defaults to --output-format.")
+@FORMAT_OPTION
 @click.pass_obj
 @_guarded
 def cmd_table(cfg: CliConfig, degrees, prime_count, fmt):
@@ -229,15 +252,9 @@ def cmd_table(cfg: CliConfig, degrees, prime_count, fmt):
     d_min, d_max = degrees
     sieve = _sieve_for(cfg, _nth_prime_bound(prime_count))
     table = report.density_table(d_min, d_max, sieve, prime_count=prime_count)
-    fmt = fmt or cfg.output_format
-    if fmt == "csv":
-        click.echo(report.emit_csv(table), nl=False)
-    elif fmt == "json":
-        click.echo(report.emit_json(table), nl=False)
-    else:
-        click.echo("d   theta   rho")
-        for d, theta, rho in table.rows:
-            click.echo(f"{d:<3} {theta}  {rho}")
+    _emit(fmt or cfg.output_format, table,
+          ["d   theta   rho",
+           *(f"{d:<3} {theta}  {rho}" for d, theta, rho in table.rows)])
 
 
 @main.command("verify")
@@ -296,8 +313,7 @@ def cmd_verify(cfg: CliConfig, max_degree, max_height):
 @click.option("--prime-count", type=click.IntRange(min=1),
               default=DEFAULT_PRIME_COUNT, show_default=True,
               help="Product truncation for the density constant.")
-@click.option("--format", "fmt", type=click.Choice(["text", "csv", "json"]),
-              default=None, help="Defaults to --output-format.")
+@FORMAT_OPTION
 @click.pass_obj
 @_guarded
 def cmd_error_term(cfg: CliConfig, variant, degree, heights, prime_count, fmt):
@@ -306,16 +322,10 @@ def cmd_error_term(cfg: CliConfig, variant, degree, heights, prime_count, fmt):
     sieve = _sieve_for(cfg, needed)
     rows = report.error_term_profile(variant, degree, heights, sieve,
                                      prime_count=prime_count)
-    fmt = fmt or cfg.output_format
-    if fmt == "csv":
-        click.echo(report.emit_csv(rows), nl=False)
-    elif fmt == "json":
-        click.echo(report.emit_json(rows), nl=False)
-    else:
-        click.echo("H  exact  main  residual  ratio")
-        for r in rows:
-            click.echo(f"{r.height}  {r.exact}  {float(r.main):.10g}  "
-                       f"{float(r.residual):.10g}  {r.ratio:.10g}")
+    _emit(fmt or cfg.output_format, rows,
+          ["H  exact  main  residual  ratio",
+           *(f"{r.height}  {r.exact}  {float(r.main):.10g}  "
+             f"{float(r.residual):.10g}  {r.ratio:.10g}" for r in rows)])
 
 
 if __name__ == "__main__":

@@ -29,7 +29,11 @@ import numpy as np
 from .arith import ArithSieve, mobius_table, totient_table
 from .errors import InvariantError
 
-KINDS = ("theta", "rho")
+# k = POWERS[kind] counts the coefficients that must be units mod p: a_0/p,
+# and for rho also a_d.  It alone tells theta from rho, as the exponent in
+# the factor (p-1)^k / p^(d+k), the numerator phi(s)^k and 1/2^(d+k).
+POWERS = {"theta": 1, "rho": 2}
+KINDS = tuple(POWERS)
 ESTIMATE_METHODS = ("euler_product", "mobius_series")
 
 MIN_PRECISION_BITS = 60
@@ -93,33 +97,22 @@ def _product_estimate(kind: str, d: int, sieve: ArithSieve, prime_count: int | N
     if prime_limit is None:
         if prime_count is None:
             prime_count = DEFAULT_PRIME_COUNT
-        if prime_count < 1:
-            raise ValueError(f"prime_count must be positive, got {prime_count}")
-        if prime_count > sieve.prime_count():
-            raise ValueError(
-                f"sieve provides {sieve.prime_count()} primes, "
-                f"not the {prime_count} requested"
-            )
-        primes = sieve.primes[:prime_count].tolist()
-        tail_from = primes[-1]
+        tail_from = sieve.nth_prime(prime_count)
         truncation = ("prime_count", prime_count)
     else:
-        if prime_limit < 2:
-            raise ValueError(f"prime_limit must be at least 2, got {prime_limit}")
-        if prime_limit > sieve.limit:
-            raise ValueError(
-                f"prime_limit {prime_limit} exceeds sieve limit {sieve.limit}"
-            )
-        cut = int(np.searchsorted(sieve.primes, prime_limit, side="right"))
-        primes = sieve.primes[:cut].tolist()
+        if not 2 <= prime_limit <= sieve.limit:
+            raise ValueError(f"prime_limit {prime_limit} outside 2..{sieve.limit}")
         tail_from = prime_limit
         truncation = ("prime_limit", prime_limit)
+    k = POWERS[kind]
+    primes = sieve.primes_upto(tail_from)
 
     one = 1 << precision_bits
     lo = hi = one
-    for p in primes:
-        den = p ** (d + 1) if kind == "theta" else p ** (d + 2)
-        num = den - (p - 1) if kind == "theta" else den - (p - 1) ** 2
+    # int64 is exact: p <= MAX_SIEVE_LIMIT = 1e8, so (p-1)^2 < 1e16 < 2^63.
+    for p, deficit in zip(primes.tolist(), ((primes - 1) ** k).tolist()):
+        den = p ** (d + k)
+        num = den - deficit
         lo = lo * num // den
         hi = _ceil_div(hi * num, den)
 
@@ -140,12 +133,13 @@ def _product_estimate(kind: str, d: int, sieve: ArithSieve, prime_count: int | N
                            method="euler_product")
 
 
-def _squarefree_terms(sieve: ArithSieve, limit: int):
-    """Square-free s in 2..limit with mu(s) and phi(s), as parallel lists."""
+def _squarefree_terms(sieve: ArithSieve, limit: int, k: int):
+    """Square-free s in 2..limit with mu(s) and phi(s)^k, as parallel lists."""
     mu = mobius_table(limit, sieve)
     phi = totient_table(limit, sieve)
     keep = np.flatnonzero(mu[2:] != 0) + 2
-    return keep.tolist(), mu[keep].tolist(), phi[keep].tolist()
+    # int64 is exact: phi(s) < s <= MAX_SIEVE_LIMIT = 1e8, so phi(s)^2 < 2^63.
+    return keep.tolist(), mu[keep].tolist(), (phi[keep] ** k).tolist()
 
 
 def _series_estimate(kind: str, d: int, sieve: ArithSieve, series_limit: int,
@@ -158,12 +152,12 @@ def _series_estimate(kind: str, d: int, sieve: ArithSieve, series_limit: int,
             f"series limit {series_limit} exceeds sieve limit {sieve.limit}"
         )
     one = 1 << precision_bits
-    expo = d + 1 if kind == "theta" else d + 2
+    k = POWERS[kind]
+    expo = d + k
     lo = hi = 0
     if series_limit >= 2:
-        moduli, mus, phis = _squarefree_terms(sieve, series_limit)
-        for s, m, ph in zip(moduli, mus, phis):
-            numer = ph if kind == "theta" else ph * ph
+        moduli, mus, numers = _squarefree_terms(sieve, series_limit, k)
+        for s, m, numer in zip(moduli, mus, numers):
             q, r = divmod(numer << precision_bits, s ** expo)
             if m < 0:  # term enters the sum with a plus sign
                 lo += q
@@ -235,7 +229,7 @@ def asymptotic_main(kind: str, d: int) -> Fraction:
         raise ValueError(f"kind must be one of {KINDS}")
     if d < 2:
         raise ValueError(f"degree must be at least 2, got {d}")
-    return Fraction(1, 2 ** (d + 1)) if kind == "theta" else Fraction(1, 2 ** (d + 2))
+    return Fraction(1, 2 ** (d + POWERS[kind]))
 
 
 def refined_asymptotic_theta(d: int) -> Fraction:
@@ -246,6 +240,4 @@ def refined_asymptotic_theta(d: int) -> Fraction:
     order (the cross term and all later primes fall under O(1/(d 3^d))).
     Strictly sharper than :func:`asymptotic_main` for every d >= 3.
     """
-    if d < 2:
-        raise ValueError(f"degree must be at least 2, got {d}")
-    return Fraction(1, 2 ** (d + 1)) + Fraction(2, 3 ** (d + 1))
+    return asymptotic_main("theta", d) + Fraction(2, 3 ** (d + 1))

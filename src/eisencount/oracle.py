@@ -105,9 +105,15 @@ def is_eisenstein(f: Polynomial) -> bool:
     return bool(eisenstein_witnesses(f))
 
 
-def _check_budget(size: int, budget: int, what: str) -> None:
+def _check_request(d: int, H: int, free: int, budget: int, what: str) -> None:
+    """ValueError on bad arguments first, then the (2H+1)^free budget check."""
+    if d < 2:
+        raise ValueError(f"degree must be at least 2, got {d}")
+    if H < 1:
+        raise ValueError(f"height bound must be at least 1, got {H}")
     if budget < 1:
         raise ValueError(f"budget must be positive, got {budget}")
+    size = (2 * H + 1) ** free
     if size > budget:
         raise BudgetExceededError(
             f"{what} needs {size} polynomials, over the budget of {budget}"
@@ -123,11 +129,7 @@ def brute_count_monic(d: int, H: int, *,
     box holds (2H+1)^d polynomials; requests above ``budget`` are refused
     with :class:`BudgetExceededError` before any work starts.
     """
-    if d < 2:
-        raise ValueError(f"degree must be at least 2, got {d}")
-    if H < 1:
-        raise ValueError(f"height bound must be at least 1, got {H}")
-    _check_budget((2 * H + 1) ** d, budget, f"monic degree-{d} enumeration")
+    _check_request(d, H, d, budget, f"monic degree-{d} enumeration")
     span = range(-H, H + 1)
     count = 0
     for a0 in span:
@@ -152,12 +154,7 @@ def brute_count_general(d: int, H: int, *,
     some candidate prime of a_0 divides all middle coefficients and misses
     the leading one; a_d = 0 never qualifies.
     """
-    if d < 2:
-        raise ValueError(f"degree must be at least 2, got {d}")
-    if H < 1:
-        raise ValueError(f"height bound must be at least 1, got {H}")
-    _check_budget((2 * H + 1) ** (d + 1), budget,
-                  f"general degree-{d} enumeration")
+    _check_request(d, H, d + 1, budget, f"general degree-{d} enumeration")
     span = range(-H, H + 1)
     count = 0
     for a0 in span:

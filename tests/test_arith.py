@@ -78,6 +78,11 @@ def test_nth_prime(big_sieve):
         big_sieve.nth_prime(0)
     with pytest.raises(ValueError):
         big_sieve.nth_prime(big_sieve.prime_count() + 1)
+    assert big_sieve.primes_upto(97)[-1] == 97
+    assert big_sieve.primes_upto(96)[-1] == 89
+    assert big_sieve.primes_upto(1).size == 0
+    with pytest.raises(ValueError):
+        big_sieve.primes_upto(97)[0] = 3
 
 
 def test_factorize_cases(sieve):

@@ -135,12 +135,28 @@ def test_density_both_methods_overlap(runner):
     assert "mobius_series" in result.output
 
 
-def test_density_conflicting_truncations_exit_2(runner):
+@pytest.mark.parametrize("args, flag", [
+    (["--prime-count", "10", "--prime-limit", "10"], "--prime-limit"),
+    (["--method", "series", "--prime-count", "5", "--series-limit", "1000"],
+     "--prime-count"),
+    (["--method", "product", "--series-limit", "1000"], "--series-limit"),
+], ids=["count-and-limit", "product-flag-with-series", "series-flag-with-product"])
+def test_density_conflicting_truncations_exit_2(runner, args, flag):
     result = runner.invoke(cli.main, ["density", "--degree", "2",
-                                      "--kind", "theta",
-                                      "--prime-count", "10",
-                                      "--prime-limit", "10"])
+                                      "--kind", "theta", *args])
     assert result.exit_code == 2
+    assert result.stdout == ""
+    assert flag in result.stderr
+
+
+def test_density_both_refuses_before_any_work(runner, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the product ran before the sieve was refused")
+    monkeypatch.setattr(cli, "theta_product", never)
+    result = runner.invoke(cli.main, ["density", "-d", "2", "--kind", "theta",
+                                      "--method", "both",
+                                      "--series-limit", "1000000000"])
+    assert result.exit_code == 3
 
 
 def test_density_disjoint_brackets_exit_4(runner, monkeypatch):

@@ -22,6 +22,16 @@ def test_single_factor_products(big_sieve):
     assert est.upper == 1
 
 
+@pytest.mark.parametrize("fn", [theta_product, rho_product], ids=["theta", "rho"])
+def test_prime_count_equals_limit_at_the_nth_prime(big_sieve, fn):
+    for n in (1, 25, 1000):
+        for d in (2, 5):
+            by_count = fn(d, big_sieve, prime_count=n)
+            by_limit = fn(d, big_sieve, prime_limit=big_sieve.nth_prime(n))
+            assert ((by_count.value, by_count.lower, by_count.upper)
+                    == (by_limit.value, by_limit.lower, by_limit.upper))
+
+
 def test_product_values_at_default_truncation(big_sieve):
     known = {
         (theta_product, 2): 0.2515,

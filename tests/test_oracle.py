@@ -93,6 +93,8 @@ def test_argument_validation():
             bad(2, 0)
         with pytest.raises(ValueError):
             bad(2, 2, budget=0)
+        with pytest.raises(ValueError):  # checked before the box size
+            bad(-1, 10**400)
 
 
 def _predicate_count_monic(d, H):
