@@ -133,9 +133,12 @@ def error_term_profile(variant: str, d: int, heights: Sequence[int],
 
     For each H in ``heights`` (strictly increasing, every one at least 2)
     the exact count comes from the inclusion-exclusion counter and the
-    main term from the density constant at the given product truncation;
-    the residual uses the density's point value, whose own truncation
-    error is far below the residual sizes profiled here.
+    main term from the point value of the density constant at the given
+    product truncation.  The residual and ratio are computed from that
+    point value alone; the width of the constant's bracket is not carried
+    into them, and it can exceed the residual (monic d = 2 with 1e4
+    primes: residual 1.08e4 at H = 1e5, main-term bracket 5.7e5 wide).
+    ROADMAP item 3 carries the residual as an interval instead.
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eisencount.arith import euler_phi, mobius, omega, phi_bounded
-from eisencount.counting import (ExactCount, count_general_eisenstein,
-                                 count_general_s, count_monic_eisenstein,
-                                 count_monic_s)
+from eisencount import counting
+from eisencount.arith import (MAX_SIEVE_LIMIT, euler_phi, mobius, mobius_table,
+                              omega, phi_bounded)
+from eisencount.counting import (WINDOW, ExactCount, block_sum_bound,
+                                 count_general_eisenstein, count_general_s,
+                                 count_monic_eisenstein, count_monic_s)
 
 
 def test_count_monic_s_examples(sieve):
@@ -54,6 +56,81 @@ def test_regression_anchors(sieve):
     assert count_monic_eisenstein(3, 25, sieve).value == 12118
     assert count_general_eisenstein(3, 25, sieve).value == 366872
     assert count_general_eisenstein(4, 12, sieve).value == 238004
+
+
+def test_large_height_anchors(big_sieve):
+    # frozen values from perfbench/expected.json, recorded by the per-modulus loop
+    assert count_monic_eisenstein(3, 10**6, big_sieve).value == 762330185251304218
+    assert count_general_eisenstein(3, 2 * 10**5, big_sieve).value == \
+        1422818396882878536688
+    assert count_general_eisenstein(2, 10**5, big_sieve).value == 1341234702842924
+
+
+COUNTERS = {"monic": (count_monic_eisenstein, count_monic_s),
+            "general": (count_general_eisenstein, count_general_s)}
+
+
+def _reference_count(variant, d, H, sieve):
+    """The specification: one closed-form count per square-free modulus."""
+    per_s = COUNTERS[variant][1]
+    mu = mobius_table(H, sieve).tolist()
+    return -sum(mu[s] * per_s(d, s, H, sieve) for s in range(2, H + 1) if mu[s])
+
+
+def _check_against_reference(variant, d, H, sieve):
+    fast = COUNTERS[variant][0]
+    assert fast(d, H, sieve).value == _reference_count(variant, d, H, sieve), \
+        (variant, d, H)
+
+
+@settings(max_examples=60, deadline=None)
+@given(variant=st.sampled_from(sorted(COUNTERS)),
+       d=st.integers(min_value=2, max_value=6),
+       H=st.integers(min_value=1, max_value=5000))
+def test_counter_matches_per_modulus_reference(variant, d, H, sieve):
+    _check_against_reference(variant, d, H, sieve)
+
+
+@pytest.mark.parametrize("variant", sorted(COUNTERS))
+def test_counter_matches_reference_at_head_tail_split(variant, sieve):
+    # The moduli split at isqrt(H); n^2 - 1, n^2 and n^2 + 1 straddle a step.
+    squares = [n * n + e for n in (2, 3, 7, 10, 31, 70) for e in (-1, 0, 1)]
+    for H in [*range(1, 41), *squares]:
+        _check_against_reference(variant, 2 + H % 3, H, sieve)
+
+
+def _height_with_tail(moduli):
+    """The height H whose tail (moduli above isqrt(H)) has this many moduli."""
+    H = moduli
+    while H - math.isqrt(H) != moduli:
+        H = moduli + math.isqrt(H)
+    return H
+
+
+@pytest.mark.parametrize("variant", sorted(COUNTERS))
+@pytest.mark.parametrize("moduli", [WINDOW - 1, WINDOW, WINDOW + 1, 2 * WINDOW])
+def test_counter_matches_reference_at_window_edges(variant, moduli, big_sieve):
+    _check_against_reference(variant, 2, _height_with_tail(moduli), big_sieve)
+
+
+def test_window_sums_fit_in_int64():
+    # Raising WINDOW or MAX_SIEVE_LIMIT past this would wrap silently.
+    assert block_sum_bound(MAX_SIEVE_LIMIT) < 2**63
+
+
+@pytest.mark.parametrize("variant", sorted(COUNTERS))
+def test_per_modulus_calls_stop_at_square_root(variant, big_sieve, monkeypatch):
+    fast, per_s = COUNTERS[variant]
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return per_s(*args)
+
+    monkeypatch.setattr(counting, per_s.__name__, counted)
+    H = 10**5
+    fast(3, H, big_sieve)
+    assert 0 < len(calls) <= math.isqrt(H)
 
 
 def test_metadata_fields(sieve):
