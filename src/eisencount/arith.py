@@ -103,9 +103,8 @@ def build_sieve(limit: int = DEFAULT_SIEVE_LIMIT, *,
             block = spf[p * p:: p]
             block[block == 0] = p
     # Everything still unmarked above 1 is prime.
-    unmarked = np.flatnonzero(spf[2:] == 0) + 2
-    spf[unmarked] = unmarked
-    primes = np.flatnonzero(spf[2:] == np.arange(2, limit + 1, dtype=np.int32)) + 2
+    primes = np.flatnonzero(spf[2:] == 0) + 2
+    spf[primes] = primes
     spf.flags.writeable = False
     primes.flags.writeable = False
     return ArithSieve(limit=limit, spf=spf, primes=primes)

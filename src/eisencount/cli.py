@@ -21,11 +21,12 @@ from . import report
 from .arith import DEFAULT_SIEVE_LIMIT, build_sieve
 from .counting import count_general_eisenstein, count_monic_eisenstein
 from .density import (DEFAULT_PRECISION_BITS, DEFAULT_PRIME_COUNT,
-                      DEFAULT_SERIES_LIMIT, MIN_PRECISION_BITS, rho_product,
-                      rho_series, theta_product, theta_series)
+                      DEFAULT_SERIES_LIMIT, KINDS, MIN_PRECISION_BITS,
+                      rho_product, rho_series, theta_product, theta_series)
 from .errors import BudgetExceededError, InvariantError
 from .oracle import (DEFAULT_ENUMERATION_BUDGET, brute_count_general,
                      brute_count_monic)
+from .results import VARIANTS, box_size
 
 
 @dataclass(frozen=True)
@@ -106,6 +107,13 @@ def _nth_prime_bound(n: int) -> int:
     return int(x) + 1
 
 
+def _counters(variant: str):
+    """The variant's (inclusion-exclusion, brute-force) counters."""
+    if variant == "monic":
+        return count_monic_eisenstein, brute_count_monic
+    return count_general_eisenstein, brute_count_general
+
+
 def _sieve_for(cfg: CliConfig, needed: int):
     """Build a sieve big enough for the command, capped by --sieve-limit."""
     return build_sieve(max(needed, 2), max_limit=cfg.sieve_limit)
@@ -153,8 +161,7 @@ def main(ctx, sieve_limit, enumeration_budget, precision_bits, output_format):
               help="Polynomial degree (at least 2).")
 @click.option("--height", "-H", "height", type=click.IntRange(min=1),
               required=True, help="Height bound for the coefficients.")
-@click.option("--variant", type=click.Choice(["monic", "general"]),
-              required=True)
+@click.option("--variant", type=click.Choice(tuple(VARIANTS)), required=True)
 @click.option("--method", type=click.Choice(["exact", "brute", "both"]),
               default="exact", show_default=True)
 @click.pass_obj
@@ -162,15 +169,12 @@ def main(ctx, sieve_limit, enumeration_budget, precision_bits, output_format):
 def cmd_count(cfg: CliConfig, degree, height, variant, method):
     """Count Eisenstein polynomials of one degree and height bound."""
     exact = brute = None
+    fast_fn, brute_fn = _counters(variant)
     if method in ("exact", "both"):
         sieve = _sieve_for(cfg, height)
-        counter = (count_monic_eisenstein if variant == "monic"
-                   else count_general_eisenstein)
-        exact = counter(degree, height, sieve).value
+        exact = fast_fn(degree, height, sieve).value
     if method in ("brute", "both"):
-        counter = (brute_count_monic if variant == "monic"
-                   else brute_count_general)
-        brute = counter(degree, height, budget=cfg.enumeration_budget).value
+        brute = brute_fn(degree, height, budget=cfg.enumeration_budget).value
     if method == "both" and exact != brute:
         raise VerificationFailure(
             f"count mismatch for {variant} degree {degree} height {height}: "
@@ -181,7 +185,7 @@ def cmd_count(cfg: CliConfig, degree, height, variant, method):
 
 @main.command("density")
 @click.option("--degree", "-d", type=click.IntRange(min=2), required=True)
-@click.option("--kind", type=click.Choice(["theta", "rho"]), required=True,
+@click.option("--kind", type=click.Choice(KINDS), required=True,
               help="theta: monic density; rho: general density.")
 @click.option("--prime-count", type=click.IntRange(min=1), default=None,
               help="Truncate the product to the first N primes.")
@@ -268,7 +272,7 @@ def cmd_verify(cfg: CliConfig, max_degree, max_height):
     """Replay the fast counts against brute force over a full grid."""
     # Refuse up front if the largest enumeration would blow the budget,
     # rather than part-way through the sweep.
-    worst = (2 * max_height + 1) ** (max_degree + 1)
+    worst = max(box_size(v, max_degree, max_height) for v in VARIANTS)
     if worst > cfg.enumeration_budget:
         raise BudgetExceededError(
             f"verification up to degree {max_degree}, height {max_height} "
@@ -280,10 +284,8 @@ def cmd_verify(cfg: CliConfig, max_degree, max_height):
     checks = 0
     click.echo("variant  degree  heights  result")
     for d in range(2, max_degree + 1):
-        for variant, fast, brute in (
-            ("monic", count_monic_eisenstein, brute_count_monic),
-            ("general", count_general_eisenstein, brute_count_general),
-        ):
+        for variant in VARIANTS:
+            fast, brute = _counters(variant)
             bad = []
             for H in range(1, max_height + 1):
                 a = fast(d, H, sieve).value
@@ -305,8 +307,7 @@ def cmd_verify(cfg: CliConfig, max_degree, max_height):
 
 
 @main.command("error-term")
-@click.option("--variant", type=click.Choice(["monic", "general"]),
-              required=True)
+@click.option("--variant", type=click.Choice(tuple(VARIANTS)), required=True)
 @click.option("--degree", "-d", type=click.IntRange(min=2), required=True)
 @click.option("--heights", type=HeightListType(), required=True,
               help="Comma-separated, strictly increasing, each >= 2.")

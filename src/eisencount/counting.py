@@ -25,14 +25,8 @@ import math
 import numpy as np
 
 from .arith import ArithSieve, mobius_table, phi_bounded
-from .results import ExactCount
-
-
-def _validate_degree_height(d: int, H: int) -> None:
-    if d < 2:
-        raise ValueError(f"degree must be at least 2, got {d}")
-    if H < 1:
-        raise ValueError(f"height bound must be at least 1, got {H}")
+from .errors import check_degree_height
+from .results import VARIANTS, ExactCount
 
 
 def count_monic_s(d: int, s: int, H: int, sieve: ArithSieve) -> int:
@@ -49,7 +43,7 @@ def count_monic_s(d: int, s: int, H: int, sieve: ArithSieve) -> int:
     witness primes include every prime factor of s, which is what makes the
     alternating sum in :func:`count_monic_eisenstein` exact.
     """
-    _validate_degree_height(d, H)
+    check_degree_height(d, H)
     if s < 1:
         raise ValueError(f"modulus must be positive, got {s}")
     q = H // s
@@ -64,11 +58,7 @@ def count_general_s(d: int, s: int, H: int, sieve: ArithSieve) -> int:
 
         (2q + 1)^(d-1) * phi_bounded(s, q) * phi_bounded(s, H)
     """
-    _validate_degree_height(d, H)
-    if s < 1:
-        raise ValueError(f"modulus must be positive, got {s}")
-    q = H // s
-    return (2 * q + 1) ** (d - 1) * phi_bounded(s, q, sieve) * phi_bounded(s, H, sieve)
+    return count_monic_s(d, s, H, sieve) * phi_bounded(s, H, sieve)
 
 
 # Moduli s > isqrt(H) are summed WINDOW at a time in int64 arrays.  Each
@@ -115,10 +105,14 @@ def _half_phi_H(lo: int, hi: int, r: int, lead: np.ndarray) -> np.ndarray:
     return G
 
 
-def _inclusion_exclusion(d: int, H: int, sieve: ArithSieve, general: bool) -> int:
-    _validate_degree_height(d, H)
+def _inclusion_exclusion(variant: str, d: int, H: int,
+                         sieve: ArithSieve) -> ExactCount:
+    check_degree_height(d, H)
     if H > sieve.limit:
         raise ValueError(f"height {H} exceeds sieve limit {sieve.limit}")
+    # k = 2 adds the factor phi_bounded(s, H) of the free leading coefficient.
+    k = VARIANTS[variant]
+    general = k == 2
     mu = mobius_table(H, sieve)
     r = math.isqrt(H)
     # Head, s <= r: each modulus has its own q = H // s; one closed form each.
@@ -144,8 +138,9 @@ def _inclusion_exclusion(d: int, H: int, sieve: ArithSieve, general: bool) -> in
         sums = np.add.reduceat(terms, runs).tolist()
         for qq, b in zip(q[runs].tolist(), sums):
             tail += b * (2 * qq + 1) ** (d - 1)
-    # P and G are halves of phi_bounded: restore the factor 2 of each.
-    return -head - (4 if general else 2) * tail
+    # P (and G when k = 2) are halves of phi_bounded: 2 per factor, 2^k in all.
+    return ExactCount(value=-head - 2 ** k * tail, degree=d, height=H,
+                      variant=variant, method="inclusion_exclusion")
 
 
 def count_monic_eisenstein(d: int, H: int, sieve: ArithSieve) -> ExactCount:
@@ -168,9 +163,7 @@ def count_monic_eisenstein(d: int, H: int, sieve: ArithSieve) -> ExactCount:
         Height bound for the non-leading coefficients, at least 1; must
         not exceed ``sieve.limit``.
     """
-    value = _inclusion_exclusion(d, H, sieve, general=False)
-    return ExactCount(value=value, degree=d, height=H, variant="monic",
-                      method="inclusion_exclusion")
+    return _inclusion_exclusion("monic", d, H, sieve)
 
 
 def count_general_eisenstein(d: int, H: int, sieve: ArithSieve) -> ExactCount:
@@ -183,6 +176,4 @@ def count_general_eisenstein(d: int, H: int, sieve: ArithSieve) -> ExactCount:
     s <= isqrt(H) call :func:`count_general_s`; in the windows the extra
     factor phi_bounded(s, H) is filled from the divisor pairs of s.
     """
-    value = _inclusion_exclusion(d, H, sieve, general=True)
-    return ExactCount(value=value, degree=d, height=H, variant="general",
-                      method="inclusion_exclusion")
+    return _inclusion_exclusion("general", d, H, sieve)

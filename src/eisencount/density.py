@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import ArithSieve, mobius_table, totient_table
-from .errors import InvariantError
+from .errors import InvariantError, check_degree
 
 # k = POWERS[kind] counts the coefficients that must be units mod p: a_0/p,
 # and for rho also a_d.  It alone tells theta from rho, as the exponent in
@@ -76,8 +76,7 @@ class DensityEstimate:
 
 
 def _validate_common(d: int, precision_bits: int) -> None:
-    if d < 2:
-        raise ValueError(f"degree must be at least 2, got {d}")
+    check_degree(d)
     if precision_bits < MIN_PRECISION_BITS:
         raise ValueError(
             f"precision_bits must be at least {MIN_PRECISION_BITS}, "
@@ -227,8 +226,7 @@ def asymptotic_main(kind: str, d: int) -> Fraction:
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")
-    if d < 2:
-        raise ValueError(f"degree must be at least 2, got {d}")
+    check_degree(d)
     return Fraction(1, 2 ** (d + POWERS[kind]))
 
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import BudgetExceededError
-from .results import ExactCount
+from .errors import BudgetExceededError, check_degree_height
+from .results import VARIANTS, ExactCount, box_size
 
 DEFAULT_ENUMERATION_BUDGET = 10**8
 
@@ -105,19 +105,34 @@ def is_eisenstein(f: Polynomial) -> bool:
     return bool(eisenstein_witnesses(f))
 
 
-def _check_request(d: int, H: int, free: int, budget: int, what: str) -> None:
-    """ValueError on bad arguments first, then the (2H+1)^free budget check."""
-    if d < 2:
-        raise ValueError(f"degree must be at least 2, got {d}")
-    if H < 1:
-        raise ValueError(f"height bound must be at least 1, got {H}")
+def _brute_count(variant: str, d: int, H: int, budget: int) -> ExactCount:
+    """Exhaust the variant's box; bad arguments raise before it is sized."""
+    check_degree_height(d, H)
     if budget < 1:
         raise ValueError(f"budget must be positive, got {budget}")
-    size = (2 * H + 1) ** free
+    size = box_size(variant, d, H)
     if size > budget:
         raise BudgetExceededError(
-            f"{what} needs {size} polynomials, over the budget of {budget}"
+            f"{variant} degree-{d} enumeration needs {size} polynomials, "
+            f"over the budget of {budget}"
         )
+    span = range(-H, H + 1)
+    # a_d is free only when k = 2; a monic a_d = 1 is never divisible.
+    leads = span if VARIANTS[variant] == 2 else (1,)
+    count = 0
+    for a0 in span:
+        primes = _candidate_primes(a0)
+        if not primes:
+            continue
+        for middle in itertools.product(span, repeat=d - 1):
+            surviving = [p for p in primes if all(c % p == 0 for c in middle)]
+            if not surviving:
+                continue
+            for lead in leads:
+                if any(lead % p for p in surviving):
+                    count += 1
+    return ExactCount(value=count, degree=d, height=H, variant=variant,
+                      method="brute")
 
 
 def brute_count_monic(d: int, H: int, *,
@@ -129,20 +144,7 @@ def brute_count_monic(d: int, H: int, *,
     box holds (2H+1)^d polynomials; requests above ``budget`` are refused
     with :class:`BudgetExceededError` before any work starts.
     """
-    _check_request(d, H, d, budget, f"monic degree-{d} enumeration")
-    span = range(-H, H + 1)
-    count = 0
-    for a0 in span:
-        primes = _candidate_primes(a0)
-        if not primes:
-            continue
-        # Leading coefficient 1 is never divisible, so only the middle
-        # coefficients decide; a0 itself carries every candidate already.
-        for middle in itertools.product(span, repeat=d - 1):
-            if any(all(c % p == 0 for c in middle) for p in primes):
-                count += 1
-    return ExactCount(value=count, degree=d, height=H, variant="monic",
-                      method="brute")
+    return _brute_count("monic", d, H, budget)
 
 
 def brute_count_general(d: int, H: int, *,
@@ -154,19 +156,4 @@ def brute_count_general(d: int, H: int, *,
     some candidate prime of a_0 divides all middle coefficients and misses
     the leading one; a_d = 0 never qualifies.
     """
-    _check_request(d, H, d + 1, budget, f"general degree-{d} enumeration")
-    span = range(-H, H + 1)
-    count = 0
-    for a0 in span:
-        primes = _candidate_primes(a0)
-        if not primes:
-            continue
-        for middle in itertools.product(span, repeat=d - 1):
-            surviving = [p for p in primes if all(c % p == 0 for c in middle)]
-            if not surviving:
-                continue
-            for lead in span:
-                if any(lead % p for p in surviving):
-                    count += 1
-    return ExactCount(value=count, degree=d, height=H, variant="general",
-                      method="brute")
+    return _brute_count("general", d, H, budget)

@@ -19,6 +19,7 @@ from .arith import ArithSieve
 from .counting import count_general_eisenstein, count_monic_eisenstein
 from .density import (DEFAULT_PRIME_COUNT, DensityEstimate, rho_product,
                       theta_product)
+from .errors import check_degree
 from .results import VARIANTS
 
 PROFILE_COLUMNS = ("variant", "d", "H", "exact", "main", "residual", "ratio")
@@ -63,10 +64,10 @@ class DensityTable:
 class ErrorTermRow:
     """One height's comparison of an exact count against its main term.
 
-    ``main`` is theta_d * 2^d * H^d for the monic variant and
-    rho_d * 2^(d+1) * H^(d+1) for the general one; ``residual`` is
-    exact - main, and ``ratio`` divides the residual by the expected
-    growth order from :func:`error_normalization`.
+    ``main`` is c * (2H)^(d+k-1), k = VARIANTS[variant], with c = theta_d
+    for monic and rho_d for general counts; ``residual`` is exact - main,
+    and ``ratio`` divides the residual by the growth order from
+    :func:`error_normalization`.
     """
 
     variant: str
@@ -81,18 +82,17 @@ class ErrorTermRow:
 def error_normalization(variant: str, d: int, H: int) -> int | float:
     """Growth order the residual is measured against.
 
-    H^(d-1) for monic degrees above 2 and H^d for general ones; at d = 2
-    an extra squared natural logarithm enters: H (ln H)^2 respectively
-    H^2 (ln H)^2.  Heights must be at least 2 so the logarithm is positive.
+    H^(d+k-2) for k = VARIANTS[variant], i.e. H^(d-1) for monic and H^d
+    for general counts, times (ln H)^2 when d = 2.  Degrees and heights
+    must be at least 2; the height so that the logarithm is positive.
     """
     if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}")
+        raise ValueError(f"variant must be one of {tuple(VARIANTS)}")
+    check_degree(d)
     if H < 2:
         raise ValueError(f"height must be at least 2, got {H}")
-    if d > 2:
-        return H ** (d - 1) if variant == "monic" else H ** d
-    log_sq = math.log(H) ** 2
-    return H * log_sq if variant == "monic" else H * H * log_sq
+    growth = H ** (d + VARIANTS[variant] - 2)
+    return growth if d > 2 else growth * math.log(H) ** 2
 
 
 def density_table(d_min: int, d_max: int, sieve: ArithSieve, *,
@@ -141,7 +141,7 @@ def error_term_profile(variant: str, d: int, heights: Sequence[int],
     ROADMAP item 3 carries the residual as an interval instead.
     """
     if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}")
+        raise ValueError(f"variant must be one of {tuple(VARIANTS)}")
     if not heights:
         raise ValueError("need at least one height")
     heights = list(heights)
@@ -149,12 +149,11 @@ def error_term_profile(variant: str, d: int, heights: Sequence[int],
         raise ValueError("heights must all be at least 2")
     if any(b <= a for a, b in zip(heights, heights[1:])):
         raise ValueError("heights must be strictly increasing")
-    if variant == "monic":
-        constant = theta_product(d, sieve, prime_count=prime_count)
-        count_fn, power = count_monic_eisenstein, d
-    else:
-        constant = rho_product(d, sieve, prime_count=prime_count)
-        count_fn, power = count_general_eisenstein, d + 1
+    monic = variant == "monic"
+    product = theta_product if monic else rho_product
+    constant = product(d, sieve, prime_count=prime_count)
+    count_fn = count_monic_eisenstein if monic else count_general_eisenstein
+    power = d + VARIANTS[variant] - 1
     rows = []
     for H in heights:
         exact = count_fn(d, H, sieve).value

@@ -10,8 +10,16 @@ from dataclasses import dataclass
 
 from .errors import InvariantError
 
-VARIANTS = ("monic", "general")
+# k = VARIANTS[variant] counts the coefficients that must be units mod the
+# witness prime (a_0/p, and for general also a_d): density.POWERS' k.  A
+# polynomial of degree d has d + k - 1 free coefficients.
+VARIANTS = {"monic": 1, "general": 2}
 METHODS = ("brute", "inclusion_exclusion")
+
+
+def box_size(variant: str, d: int, H: int) -> int:
+    """(2H+1)^(d+k-1): the variant's polynomials of degree d, height <= H."""
+    return (2 * H + 1) ** (d + VARIANTS[variant] - 1)
 
 
 @dataclass(frozen=True)
@@ -31,8 +39,8 @@ class ExactCount:
 
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
-            raise InvariantError(f"variant must be one of {VARIANTS}")
+            raise InvariantError(f"variant must be one of {tuple(VARIANTS)}")
         if self.method not in METHODS:
             raise InvariantError(f"method must be one of {METHODS}")
-        if not 0 <= self.value <= (2 * self.height + 1) ** (self.degree + 1):
+        if not 0 <= self.value <= box_size(self.variant, self.degree, self.height):
             raise InvariantError("count outside the possible range for (degree, height)")

@@ -1,6 +1,7 @@
 """Sieve construction and multiplicative function tests."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -40,6 +41,18 @@ def test_build_sieve_rejects_bad_limits():
         build_sieve(10**9)
     with pytest.raises(BudgetExceededError):
         build_sieve(5000, max_limit=4999)
+
+
+def test_build_sieve_peak_memory_stays_near_its_result():
+    # The prime list comes from the marking pass itself: no full-length
+    # temporary beyond the spf table is allocated after it.
+    tracemalloc.start()
+    try:
+        s = build_sieve(10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * (s.spf.nbytes + s.primes.nbytes)
 
 
 def test_max_limit_cannot_raise_the_hard_cap(monkeypatch):

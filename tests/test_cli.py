@@ -243,10 +243,20 @@ def test_verify_small_grid_passes(runner):
     assert "MISMATCH" not in result.output
 
 
-def test_verify_over_budget_exits_3_before_work(runner):
-    result = runner.invoke(cli.main, ["verify", "--max-degree", "9",
-                                      "--max-height", "50"])
-    assert result.exit_code == 3
+@pytest.mark.parametrize("budget, degree, height, code", [
+    (None, "9", "50", 3),
+    # the largest enumeration is general degree 2, height 3: 7^3 = 343
+    ("343", "2", "3", 0),
+    ("342", "2", "3", 3),
+], ids=["default-budget", "budget-at-box", "budget-below-box"])
+def test_verify_over_budget_exits_3_before_work(runner, budget, degree, height,
+                                                code):
+    group = [] if budget is None else ["--enumeration-budget", budget]
+    result = runner.invoke(cli.main, group + ["verify", "--max-degree", degree,
+                                              "--max-height", height])
+    assert result.exit_code == code
+    if code == 3:
+        assert result.stdout == ""
 
 
 def test_verify_mismatch_exits_4(runner, monkeypatch):

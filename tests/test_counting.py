@@ -161,6 +161,10 @@ def test_exact_count_container_validation():
         ExactCount(value=-1, degree=2, height=3, variant="monic", method="brute")
     with pytest.raises(ValueError):
         ExactCount(value=8**4, degree=2, height=3, variant="monic", method="brute")
+    with pytest.raises(ValueError):  # over the monic box 7^2, within the general 7^3
+        ExactCount(value=50, degree=2, height=3, variant="monic", method="brute")
+    assert ExactCount(value=49, degree=2, height=3, variant="monic",
+                      method="brute").value == 49
 
 
 def _per_modulus_brute_monic(d, s, H):

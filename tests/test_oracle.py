@@ -79,8 +79,10 @@ def test_budget_refusal_is_not_silent():
     assert brute_count_monic(2, 2, budget=25).value == 6
     with pytest.raises(BudgetExceededError):
         brute_count_monic(2, 2, budget=24)
+    # the general box has one more free coefficient: 5^3 = 125
+    assert brute_count_general(2, 2, budget=125).value == 12
     with pytest.raises(BudgetExceededError):
-        brute_count_general(2, 2, budget=100)
+        brute_count_general(2, 2, budget=124)
     with pytest.raises(BudgetExceededError):
         brute_count_monic(4, 50, budget=10**8)
 

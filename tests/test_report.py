@@ -58,6 +58,8 @@ def test_error_normalization_case_split():
         error_normalization("monic", 2, 1)
     with pytest.raises(ValueError):
         error_normalization("cubic", 2, 10)
+    with pytest.raises(ValueError, match="degree must be at least 2"):
+        error_normalization("monic", 1, 10)
 
 
 def test_profile_small_anchors(sieve):
