@@ -6,7 +6,9 @@ prime count, divisor count and radical follow directly.  The module also
 provides :func:`phi_bounded`, the exact count of integers in a symmetric
 interval coprime to a modulus, which is the basic building block of the
 polynomial counting formulas, plus bulk table versions of mu and phi for
-callers that sweep a contiguous range.
+callers that sweep a contiguous range.  The tables are filled SEGMENT
+entries at a time, each segment [lo, hi) from the primes p with p*p < hi
+only, so beyond the result they need O(SEGMENT) memory.
 """
 
 from __future__ import annotations
@@ -23,6 +25,10 @@ DEFAULT_SIEVE_LIMIT = 10**7
 
 # Hard cap on sieve size: int32 spf entries, so ~400 MB at the cap.
 MAX_SIEVE_LIMIT = 10**8
+
+# Width of the pieces mobius_table and totient_table fill one at a time.
+# Independent of counting.WINDOW, which bounds the counter's int64 sums.
+SEGMENT = 1 << 16
 
 
 # eq=False: identity comparison and hashing; the arrays make field-wise
@@ -211,29 +217,69 @@ def phi_bounded(s: int, H: int, sieve: ArithSieve) -> int:
     return sum(sign * (2 * (H // t) + 1) for t, sign in signed_divisors)
 
 
+def _check_table_limit(limit: int, sieve: ArithSieve) -> None:
+    if not 0 <= limit <= sieve.limit:
+        raise ValueError(f"table limit {limit} outside 0..{sieve.limit}")
+
+
+def _segments(limit: int, sieve: ArithSieve) -> Iterator[tuple[int, int, list[int]]]:
+    """Yield (lo, hi, primes) covering 0..limit in SEGMENT-wide pieces.
+
+    ``primes`` are those with p*p < hi: every n in [lo, hi) with a square
+    factor has one of them, and a square-free n has at most one prime
+    factor beyond them, because two would multiply past n.
+    """
+    small = sieve.primes_upto(math.isqrt(limit)).tolist()
+    for lo in range(0, limit + 1, SEGMENT):
+        hi = min(lo + SEGMENT, limit + 1)
+        yield lo, hi, [p for p in small if p * p < hi]
+
+
 def mobius_table(limit: int, sieve: ArithSieve) -> np.ndarray:
     """Vector of mu(n) for 0 <= n <= limit; mu[0] is set to 0.
 
     Bulk variant of :func:`mobius` for callers that need every value in
-    a range, built by sign flips over prime progressions and zeroing of
-    square multiples.
+    a range.  Each SEGMENT of the result is built from the primes p with
+    p*p below the segment's end: entries start at 1 and are multiplied by
+    -p on the multiples of p, then zeroed on the multiples of p*p.  A
+    square-free n whose remaining |product| falls short of n has exactly
+    one more prime factor, so its sign flips once more.  The extra memory
+    is a few SEGMENT-sized arrays, whatever the limit.
     """
-    _check_range(max(limit, 1), sieve)
+    _check_table_limit(limit, sieve)
     mu = np.ones(limit + 1, dtype=np.int64)
-    for p in sieve.primes_upto(limit).tolist():
-        mu[p:: p] *= -1
-        pp = p * p
-        if pp <= limit:
-            mu[pp:: pp] = 0
+    for lo, hi, primes in _segments(limit, sieve):
+        seg = mu[lo:hi]
+        for p in primes:
+            seg[-lo % p::p] *= -p
+            seg[-lo % (p * p)::p * p] = 0
+        seg[np.abs(seg) < np.arange(lo, hi)] *= -1
+        np.sign(seg, out=seg)
     mu[0] = 0
     return mu
 
 
 def totient_table(limit: int, sieve: ArithSieve) -> np.ndarray:
-    """Vector of phi(n) for 0 <= n <= limit; phi[0] is set to 0."""
-    _check_range(max(limit, 1), sieve)
+    """Vector of phi(n) for 0 <= n <= limit; phi[0] is set to 0.
+
+    Built a SEGMENT at a time like :func:`mobius_table`: each prime p with
+    p*p below the segment's end applies phi -= phi // p to its multiples
+    and divides every power of p out of a ``rest`` array.  Where ``rest``
+    stays above 1 it is the one prime factor P beyond those primes, and
+    phi is multiplied by (P - 1) / P.  The extra memory is a few
+    SEGMENT-sized arrays, whatever the limit.
+    """
+    _check_table_limit(limit, sieve)
     phi = np.arange(limit + 1, dtype=np.int64)
-    for p in sieve.primes_upto(limit).tolist():
-        phi[p:: p] -= phi[p:: p] // p
-    phi[0] = 0
+    for lo, hi, primes in _segments(limit, sieve):
+        seg = phi[lo:hi]
+        rest = seg.copy()
+        for p in primes:
+            seg[-lo % p::p] -= seg[-lo % p::p] // p
+            q = p
+            while q < hi:
+                rest[-lo % q::q] //= p
+                q *= p
+        big = np.flatnonzero(rest > 1)
+        seg[big] = seg[big] // rest[big] * (rest[big] - 1)
     return phi

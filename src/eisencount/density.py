@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import ArithSieve, mobius_table, totient_table
+from .arith import SEGMENT, ArithSieve, mobius_table, totient_table
 from .errors import InvariantError, check_degree
 
 # k = POWERS[kind] counts the coefficients that must be units mod p: a_0/p,
@@ -109,11 +109,19 @@ def _product_estimate(kind: str, d: int, sieve: ArithSieve, prime_count: int | N
     one = 1 << precision_bits
     lo = hi = one
     # int64 is exact: p <= MAX_SIEVE_LIMIT = 1e8, so (p-1)^2 < 1e16 < 2^63.
-    for p, deficit in zip(primes.tolist(), ((primes - 1) ** k).tolist()):
+    deficits = ((primes - 1) ** k).tolist()
+    for i, (p, deficit) in enumerate(zip(primes.tolist(), deficits)):
         den = p ** (d + k)
-        num = den - deficit
-        lo = lo * num // den
-        hi = _ceil_div(hi * num, den)
+        # Times (1 - deficit/den): lo rounds down, hi rounds up.
+        drop = hi * deficit // den
+        if not drop:
+            # deficit/den = (p-1)^k / p^(d+k) does not increase with p and hi
+            # never grows, so from here on hi stays put and each factor
+            # lowers lo by exactly 1 while lo > 0.
+            lo = max(0, lo - (primes.size - i))
+            break
+        lo += -lo * deficit // den
+        hi -= drop
 
     # Omitted factors multiply the product by something in [exp(-T), 1]
     # where T bounds the sum of 2x over the omitted deficits x; since
@@ -132,15 +140,6 @@ def _product_estimate(kind: str, d: int, sieve: ArithSieve, prime_count: int | N
                            method="euler_product")
 
 
-def _squarefree_terms(sieve: ArithSieve, limit: int, k: int):
-    """Square-free s in 2..limit with mu(s) and phi(s)^k, as parallel lists."""
-    mu = mobius_table(limit, sieve)
-    phi = totient_table(limit, sieve)
-    keep = np.flatnonzero(mu[2:] != 0) + 2
-    # int64 is exact: phi(s) < s <= MAX_SIEVE_LIMIT = 1e8, so phi(s)^2 < 2^63.
-    return keep.tolist(), mu[keep].tolist(), (phi[keep] ** k).tolist()
-
-
 def _series_estimate(kind: str, d: int, sieve: ArithSieve, series_limit: int,
                      precision_bits: int) -> DensityEstimate:
     _validate_common(d, precision_bits)
@@ -154,9 +153,14 @@ def _series_estimate(kind: str, d: int, sieve: ArithSieve, series_limit: int,
     k = POWERS[kind]
     expo = d + k
     lo = hi = 0
-    if series_limit >= 2:
-        moduli, mus, numers = _squarefree_terms(sieve, series_limit, k)
-        for s, m, numer in zip(moduli, mus, numers):
+    mu = mobius_table(series_limit, sieve)
+    phi = totient_table(series_limit, sieve)
+    # The square-free terms become Python lists one SEGMENT at a time.
+    for start in range(2, series_limit + 1, SEGMENT):
+        keep = np.flatnonzero(mu[start:start + SEGMENT]) + start
+        # int64 is exact: phi(s) < s <= MAX_SIEVE_LIMIT = 1e8, so phi(s)^2 < 2^63.
+        for s, m, numer in zip(keep.tolist(), mu[keep].tolist(),
+                               (phi[keep] ** k).tolist()):
             q, r = divmod(numer << precision_bits, s ** expo)
             if m < 0:  # term enters the sum with a plus sign
                 lo += q

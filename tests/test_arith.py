@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eisencount import arith
-from eisencount.arith import (build_sieve, euler_phi, factorize, mobius,
-                              mobius_table, omega, phi_bounded, radical, tau,
-                              totient_table)
+from eisencount.arith import (SEGMENT, build_sieve, euler_phi, factorize,
+                              mobius, mobius_table, omega, phi_bounded, radical,
+                              tau, totient_table)
 from eisencount.errors import BudgetExceededError
 
 
@@ -251,7 +251,71 @@ def test_tables_match_pointwise_functions(sieve):
 
 
 def test_tables_reject_limits_beyond_sieve(sieve):
-    with pytest.raises(ValueError):
-        mobius_table(sieve.limit + 1, sieve)
-    with pytest.raises(ValueError):
-        totient_table(sieve.limit + 1, sieve)
+    for table in (mobius_table, totient_table):
+        for limit in (sieve.limit + 1, -1):
+            with pytest.raises(ValueError, match=f"table limit {limit} "):
+                table(limit, sieve)
+
+
+def _reference_mobius_table(limit, sieve):
+    """One numpy slice per prime <= limit: the unsegmented builder."""
+    mu = np.ones(limit + 1, dtype=np.int64)
+    for p in sieve.primes_upto(limit).tolist():
+        mu[p:: p] *= -1
+        pp = p * p
+        if pp <= limit:
+            mu[pp:: pp] = 0
+    mu[0] = 0
+    return mu
+
+
+def _reference_totient_table(limit, sieve):
+    phi = np.arange(limit + 1, dtype=np.int64)
+    for p in sieve.primes_upto(limit).tolist():
+        phi[p:: p] -= phi[p:: p] // p
+    phi[0] = 0
+    return phi
+
+
+def _assert_tables_match_reference(limit, sieve):
+    for table, reference in ((mobius_table, _reference_mobius_table),
+                             (totient_table, _reference_totient_table)):
+        got, want = table(limit, sieve), reference(limit, sieve)
+        assert got.dtype == want.dtype, (table.__name__, limit)
+        assert np.array_equal(got, want), (table.__name__, limit)
+
+
+# 257 is the first prime whose square, 66049, lies past the first segment
+# edge: it zeroes nothing below the edge and must enter exactly when a
+# segment's end passes its square.
+@pytest.mark.parametrize("limit", [0, 1, 2, 3, 4, SEGMENT - 1, SEGMENT,
+                                   SEGMENT + 1, 2 * SEGMENT + 1, 257**2 - 1,
+                                   257**2, 10**6])
+def test_segmented_tables_match_reference(limit, big_sieve):
+    _assert_tables_match_reference(limit, big_sieve)
+
+
+@settings(max_examples=25, deadline=None)
+@given(limit=st.integers(min_value=0, max_value=3 * SEGMENT))
+def test_segmented_tables_match_reference_at_random_limits(limit, big_sieve):
+    _assert_tables_match_reference(limit, big_sieve)
+
+
+@pytest.fixture(scope="module")
+def sieve_2e6():
+    return build_sieve(2 * 10**6)
+
+
+@pytest.mark.parametrize("limit", [10**6, 2 * 10**6])
+@pytest.mark.parametrize("table", [mobius_table, totient_table])
+def test_table_memory_beyond_its_result_is_a_few_segments(table, limit,
+                                                          sieve_2e6):
+    # One slice per prime over the whole table needs 6 (mu) and 14 (phi)
+    # segments on top of the result at 10^6, and 11 and 27 at 2 * 10^6.
+    tracemalloc.start()
+    try:
+        result = table(limit, sieve_2e6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - result.nbytes <= 4 * SEGMENT * 8

@@ -3,14 +3,18 @@
 ``perfbench/spans.py`` wraps public layer functions by dotted name; a
 rename in ``eisencount`` silently drops a layer from ``--trace 1`` until
 the slow benchmark tests run.  This loads that file, without changing
-it, and checks each name against the package.
+it, and checks each name against the package, and that the layers it
+expects are still reached through those names.
 """
 
 import importlib.util
 import inspect
+from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from eisencount import arith, density
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -47,3 +51,24 @@ def test_expected_groups_are_defined_groups(spans):
     for workload, groups in spans.EXPECTED_GROUPS.items():
         for group in groups:
             assert group in spans.GROUPS, (workload, group)
+
+
+@pytest.mark.parametrize("series", [density.theta_series, density.rho_series],
+                         ids=["theta", "rho"])
+def test_series_reaches_each_table_once_through_its_traced_name(
+        monkeypatch, sieve, series):
+    # density-heavy expects arith.mobius_table and arith.totient_table
+    # spans, which exist only if the series calls the very functions that
+    # spans.py finds, by identity, in the density namespace.
+    calls = Counter()
+    for name in ("mobius_table", "totient_table"):
+        original = getattr(density, name)
+        assert original is getattr(arith, name), name
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(density, name, counted)
+    series(3, sieve, series_limit=5000)
+    assert calls == {"mobius_table": 1, "totient_table": 1}

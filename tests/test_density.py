@@ -1,10 +1,17 @@
 """Density estimate tests: brackets, truncations, asymptotics."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from eisencount.density import (DensityEstimate, asymptotic_main,
+import eisencount
+from eisencount.arith import SEGMENT, mobius_table, totient_table
+from eisencount.density import (POWERS, DensityEstimate, asymptotic_main,
                                 refined_asymptotic_theta, rho_product,
                                 rho_series, theta_product, theta_series)
 
@@ -32,6 +39,48 @@ def test_prime_count_equals_limit_at_the_nth_prime(big_sieve, fn):
                     == (by_limit.value, by_limit.lower, by_limit.upper))
 
 
+def _reference_products(kind, d, sieve, stops, precision_bits):
+    """The Euler-product loop with no early exit, read out along the way.
+
+    ``stops`` maps a number of primes n to the point P its tail bound
+    starts from; returns {n: (value, lower, upper)} after n factors.
+    """
+    k = POWERS[kind]
+    one = 1 << precision_bits
+    lo = hi = one
+    out = {}
+    for n, p in enumerate(sieve.primes[:max(stops)].tolist(), start=1):
+        den = p ** (d + k)
+        num = den - (p - 1) ** k
+        lo = lo * num // den
+        hi = -(-hi * num // den)
+        if n in stops:
+            P = stops[n]
+            tail = -(-2 * one // ((d - 1) * P ** (d - 1)))
+            full_lo = max(0, lo * (one - tail) // one) if tail < one else 0
+            out[n] = (1 - Fraction(lo + hi, 2 * one), 1 - Fraction(hi, one),
+                      1 - Fraction(full_lo, one))
+    return out
+
+
+@pytest.mark.parametrize("bits", [60, 96, 200])
+@pytest.mark.parametrize("fn", [theta_product, rho_product], ids=["theta", "rho"])
+def test_product_early_exit_is_exact(big_sieve, fn, bits):
+    kind = fn.__name__.split("_")[0]
+    counts = (1, 2, 50, 10**4, big_sieve.prime_count())
+    for d in range(2, 13):
+        stops = {n: big_sieve.nth_prime(n) for n in counts}
+        reference = _reference_products(kind, d, big_sieve, stops, bits)
+        for n in counts:
+            est = fn(d, big_sieve, prime_count=n, precision_bits=bits)
+            assert (est.value, est.lower, est.upper) == reference[n], (d, n)
+    # A prime_limit that is not itself prime: 168 primes, tail from 1000.
+    for d in (2, 12):
+        want = _reference_products(kind, d, big_sieve, {168: 1000}, bits)[168]
+        est = fn(d, big_sieve, prime_limit=1000, precision_bits=bits)
+        assert (est.value, est.lower, est.upper) == want, d
+
+
 def test_product_values_at_default_truncation(big_sieve):
     known = {
         (theta_product, 2): 0.2515,
@@ -57,6 +106,36 @@ def test_empty_series_is_a_pure_tail_bracket(big_sieve):
         est = rho_series(d, big_sieve, series_limit=1)
         assert est.value == 0
         assert 0 <= est.upper - Fraction(1, d - 1) <= ulp
+
+
+def _reference_series_sum(kind, d, sieve, limit, precision_bits):
+    """The directed-rounding sum over all square-free s <= limit at once."""
+    k = POWERS[kind]
+    mu = mobius_table(limit, sieve)
+    phi = totient_table(limit, sieve)
+    keep = np.flatnonzero(mu[2:] != 0) + 2
+    lo = hi = 0
+    for s, m, numer in zip(keep.tolist(), mu[keep].tolist(),
+                           (phi[keep] ** k).tolist()):
+        q, r = divmod(numer << precision_bits, s ** (d + k))
+        if m < 0:
+            lo += q
+            hi += q + (1 if r else 0)
+        else:
+            lo -= q + (1 if r else 0)
+            hi -= q
+    return Fraction(lo + hi, 2 << precision_bits)
+
+
+@pytest.mark.parametrize("limit", [2, SEGMENT + 1, SEGMENT + 2,
+                                   2 * SEGMENT + 2, 3 * SEGMENT])
+@pytest.mark.parametrize("fn", [theta_series, rho_series], ids=["theta", "rho"])
+def test_series_segments_sum_every_term_once(big_sieve, fn, limit):
+    # Segments start at s = 2, so SEGMENT + 2 ends the first exactly.
+    kind = fn.__name__.split("_")[0]
+    for d in (2, 3):
+        est = fn(d, big_sieve, series_limit=limit, precision_bits=96)
+        assert est.value == _reference_series_sum(kind, d, big_sieve, limit, 96)
 
 
 def test_series_values_at_moderate_truncation(big_sieve):
@@ -193,3 +272,34 @@ def test_higher_precision_narrows_or_matches_rounding(big_sieve):
     assert narrow.width <= wide.width
     # both enclose the same constant
     assert max(wide.lower, narrow.lower) <= min(wide.upper, narrow.upper)
+
+
+# Run in a child, whose memory holds only what the series needs.  The
+# child reads its own resident size now and at its peak (VmRSS, VmHWM):
+# ru_maxrss would carry over the test runner's size across exec, and
+# tracemalloc slows the 600,000-term loop about 30-fold.
+_SERIES_RSS_RISE = """
+from eisencount.arith import build_sieve
+from eisencount.density import theta_series
+
+def kib(field):
+    with open("/proc/self/status") as status:
+        line = next(l for l in status if l.startswith(field + ":"))
+    return int(line.split()[1])
+
+sieve = build_sieve(10**6)
+theta_series(2, sieve, series_limit=2)
+before = kib("VmRSS")
+theta_series(2, sieve, series_limit=10**6)
+print(kib("VmHWM") - before)
+"""
+
+
+def test_series_peak_memory_stays_near_its_tables():
+    # mu and phi to 10^6 are 8 MB each; the rest is one SEGMENT of terms
+    # at a time.  Lists of every term at once took 9.9 times one table.
+    src = str(Path(eisencount.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", _SERIES_RSS_RISE], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert int(out) * 1024 <= 3 * 8 * 10**6
