@@ -1,10 +1,11 @@
 """Command line interface.
 
-Subcommands: count, density, table, verify, error-term.  Shared knobs sit
-on the top-level group and mirror environment variables with the EISEN_
-prefix (flags beat environment, environment beats defaults).  Exit codes
-are a stable contract: 0 success, 2 bad usage, 3 resource refusal,
-4 verification failure.
+Subcommands: count, density, table, verify, error-term.  The four shared
+knobs sit on the top-level group; each also reads one environment variable,
+EISEN_SIEVE_LIMIT, EISEN_ENUMERATION_BUDGET, EISEN_PRECISION_BITS or
+EISEN_OUTPUT_FORMAT (flags beat environment, environment beats defaults),
+and subcommand options read none.  Exit codes are a stable contract:
+0 success, 2 bad usage, 3 resource refusal, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -45,42 +46,6 @@ class VerificationFailure(click.ClickException):
     exit_code = 4
 
 
-class DegreeRangeType(click.ParamType):
-    """Accepts a single degree like ``7`` or a range like ``2..10``."""
-
-    name = "degrees"
-
-    def convert(self, value, param, ctx):
-        if isinstance(value, tuple):
-            return value
-        text = str(value).strip()
-        match = re.fullmatch(r"(\d+)\.\.(\d+)", text)
-        if match:
-            lo, hi = int(match.group(1)), int(match.group(2))
-        elif text.isdigit():
-            lo = hi = int(text)
-        else:
-            self.fail(f"expected a degree or LO..HI range, got {value!r}",
-                      param, ctx)
-        return lo, hi
-
-
-class HeightListType(click.ParamType):
-    """Comma-separated integer heights; the profile checks their order."""
-
-    name = "heights"
-
-    def convert(self, value, param, ctx):
-        if isinstance(value, tuple):
-            return value
-        parts = str(value).split(",")
-        try:
-            heights = tuple(int(part.strip()) for part in parts)
-        except ValueError:
-            self.fail(f"heights must be integers, got {value!r}", param, ctx)
-        return heights
-
-
 def _guarded(fn):
     """Map library refusals and argument rejections onto the exit contract."""
 
@@ -119,6 +84,26 @@ def _sieve_for(cfg: CliConfig, needed: int):
     return build_sieve(max(needed, 2), max_limit=cfg.sieve_limit)
 
 
+def _parse_degrees(ctx, param, value: str) -> tuple[int, int]:
+    """A single degree like ``7`` or a range like ``2..10``, as (lo, hi)."""
+    match = re.fullmatch(r"(\d+)(?:\.\.(\d+))?", value.strip())
+    try:
+        if match:
+            return int(match[1]), int(match[2] or match[1])
+    except ValueError:  # more digits than int() converts
+        pass
+    raise click.BadParameter(
+        f"expected a degree or LO..HI range, got {value!r}")
+
+
+def _parse_heights(ctx, param, value: str) -> tuple[int, ...]:
+    """Comma-separated integer heights; the profile checks their order."""
+    try:
+        return tuple(int(part.strip()) for part in value.split(","))
+    except ValueError:
+        raise click.BadParameter(f"heights must be integers, got {value!r}")
+
+
 FORMAT_OPTION = click.option("--format", "fmt",
                              type=click.Choice(["text", "csv", "json"]),
                              default=None, help="Defaults to --output-format.")
@@ -134,17 +119,21 @@ def _emit(fmt: str, obj, text_lines) -> None:
         click.echo("\n".join(text_lines))
 
 
-@click.group(context_settings={"auto_envvar_prefix": "EISEN"})
-@click.option("--sieve-limit", type=click.IntRange(min=2),
+@click.group()
+@click.option("--sieve-limit", envvar="EISEN_SIEVE_LIMIT",
+              type=click.IntRange(min=2),
               default=DEFAULT_SIEVE_LIMIT, show_default=True,
               help="Largest sieve the run may allocate (memory cap).")
-@click.option("--enumeration-budget", type=click.IntRange(min=1),
+@click.option("--enumeration-budget", envvar="EISEN_ENUMERATION_BUDGET",
+              type=click.IntRange(min=1),
               default=DEFAULT_ENUMERATION_BUDGET, show_default=True,
               help="Most polynomials a brute-force enumeration may visit.")
-@click.option("--precision-bits", type=click.IntRange(min=MIN_PRECISION_BITS),
+@click.option("--precision-bits", envvar="EISEN_PRECISION_BITS",
+              type=click.IntRange(min=MIN_PRECISION_BITS),
               default=DEFAULT_PRECISION_BITS, show_default=True,
               help="Working precision (bits) of the density command's brackets.")
-@click.option("--output-format", type=click.Choice(["text", "csv", "json"]),
+@click.option("--output-format", envvar="EISEN_OUTPUT_FORMAT",
+              type=click.Choice(["text", "csv", "json"]),
               default="text", show_default=True,
               help="Default rendering for commands with a --format flag.")
 @click.pass_context
@@ -244,8 +233,9 @@ def cmd_density(cfg: CliConfig, degree, kind, prime_count, prime_limit,
 
 
 @main.command("table")
-@click.option("--degrees", type=DegreeRangeType(), default="2..10",
-              show_default=True, help="Degree range, e.g. 2..10 or a single degree.")
+@click.option("--degrees", callback=_parse_degrees, metavar="DEGREES",
+              default="2..10", show_default=True,
+              help="Degree range, e.g. 2..10 or a single degree.")
 @click.option("--prime-count", type=click.IntRange(min=1),
               default=DEFAULT_PRIME_COUNT, show_default=True)
 @FORMAT_OPTION
@@ -309,7 +299,8 @@ def cmd_verify(cfg: CliConfig, max_degree, max_height):
 @main.command("error-term")
 @click.option("--variant", type=click.Choice(tuple(VARIANTS)), required=True)
 @click.option("--degree", "-d", type=click.IntRange(min=2), required=True)
-@click.option("--heights", type=HeightListType(), required=True,
+@click.option("--heights", callback=_parse_heights, metavar="HEIGHTS",
+              required=True,
               help="Comma-separated, strictly increasing, each >= 2.")
 @click.option("--prime-count", type=click.IntRange(min=1),
               default=DEFAULT_PRIME_COUNT, show_default=True,
@@ -323,10 +314,11 @@ def cmd_error_term(cfg: CliConfig, variant, degree, heights, prime_count, fmt):
     sieve = _sieve_for(cfg, needed)
     rows = report.error_term_profile(variant, degree, heights, sieve,
                                      prime_count=prime_count)
+    real = report._format_real
     _emit(fmt or cfg.output_format, rows,
           ["H  exact  main  residual  ratio",
-           *(f"{r.height}  {r.exact}  {float(r.main):.10g}  "
-             f"{float(r.residual):.10g}  {r.ratio:.10g}" for r in rows)])
+           *(f"{r.height}  {r.exact}  {real(r.main)}  {real(r.residual)}  "
+             f"{real(r.ratio)}" for r in rows)])
 
 
 if __name__ == "__main__":

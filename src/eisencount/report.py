@@ -45,11 +45,17 @@ def round_half_away(value: Fraction | int, places: int = 4) -> str:
 
 def _real(x) -> float:
     """Round a real to 10 significant digits, the interchange precision."""
-    return float(f"{float(x):.10g}")
+    return float(_format_real(x))
 
 
 def _format_real(x) -> str:
-    return f"{float(x):.10g}"
+    """A real at 10 significant digits; ValueError past the float range."""
+    try:
+        return f"{float(x):.10g}"
+    except OverflowError:  # only an int or a Fraction gets this far
+        exponent = math.log10(abs(x.numerator)) - math.log10(x.denominator)
+        raise ValueError(f"a value of order 1e{int(exponent)} is past the "
+                         "float range of the output formats") from None
 
 
 @dataclass(frozen=True)

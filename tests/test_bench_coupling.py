@@ -1,10 +1,12 @@
-"""The benchmark's trace names only functions the program still defines.
+"""The benchmark's trace and command lines still fit the program.
 
 ``perfbench/spans.py`` wraps public layer functions by dotted name; a
 rename in ``eisencount`` silently drops a layer from ``--trace 1`` until
 the slow benchmark tests run.  This loads that file, without changing
 it, and checks each name against the package, and that the layers it
-expects are still reached through those names.
+expects are still reached through those names.  It loads
+``perfbench/workloads.py`` the same way and parses every command line
+the benchmark can run, so a CLI change that breaks one fails here too.
 """
 
 import importlib.util
@@ -14,17 +16,27 @@ from pathlib import Path
 
 import pytest
 
-from eisencount import arith, density
+from eisencount import arith, cli, density
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("spans")
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return _load("workloads")
 
 
 def _traced_names(spans):
@@ -72,3 +84,11 @@ def test_series_reaches_each_table_once_through_its_traced_name(
         monkeypatch.setattr(density, name, counted)
     series(3, sieve, series_limit=5000)
     assert calls == {"mobius_table": 1, "totient_table": 1}
+
+
+def test_every_benchmark_command_line_parses(workloads, parsed):
+    lines = [argv for workload in workloads.WORKLOADS
+             for argv in workloads.every_command(workload)]
+    for argv in lines:
+        cli.main.main(argv, standalone_mode=False)
+    assert len(parsed) == len(lines)

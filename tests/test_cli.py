@@ -308,3 +308,102 @@ def test_help_lists_subcommands(runner):
     for name in ("count", "density", "table", "verify", "error-term"):
         assert name in result.output
     assert "--threads" not in result.output
+
+
+# The subcommand line each flag is tried on, and its error message.
+MALFORMED = {
+    "--degrees": (["table"], "expected a degree or LO..HI range, got {!r}"),
+    "--heights": (["error-term", "--variant", "monic", "-d", "3"],
+                  "heights must be integers, got {!r}"),
+}
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--degrees", "²"),
+    ("--degrees", "2.." + "9" * 5000),
+    ("--degrees", "2.."),
+    ("--degrees", "..3"),
+    ("--degrees", "2x"),
+    ("--heights", "100,,1000"),
+    ("--heights", "1e3"),
+], ids=["superscript", "5000-digits", "no-hi", "no-lo", "suffix",
+        "empty-height", "float-height"])
+def test_malformed_degrees_and_heights_exit_2(runner, flag, value):
+    argv, message = MALFORMED[flag]
+    result = runner.invoke(cli.main, [*argv, flag, value])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == (
+        f"Usage: main {argv[0]} [OPTIONS]\n"
+        f"Try 'main {argv[0]} --help' for help.\n\n"
+        f"Error: Invalid value for '{flag}': {message.format(value)}\n")
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_error_term_past_the_float_range_exits_2(runner, fmt):
+    # The main term of monic degree 110 at H = 1000 is about 8.2e337.
+    result = runner.invoke(cli.main, ["error-term", "--variant", "monic",
+                                      "-d", "110", "--heights", "1000",
+                                      "--format", fmt])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "a value of order 1e337 is past the float range" in result.stderr
+
+
+# The options a subcommand cannot run without, and for every subcommand
+# option a valid value that differs from what a parse without it gives.
+REQUIRED = {
+    "count": {"degree": ("-d", "2"), "height": ("-H", "3"),
+              "variant": ("--variant", "monic")},
+    "density": {"degree": ("-d", "2"), "kind": ("--kind", "theta")},
+    "table": {},
+    "verify": {},
+    "error-term": {"variant": ("--variant", "monic"), "degree": ("-d", "3"),
+                   "heights": ("--heights", "10,20")},
+}
+ENV_VALUES = {
+    ("count", "degree"): "5", ("count", "height"): "4",
+    ("count", "variant"): "general", ("count", "method"): "both",
+    ("density", "degree"): "4", ("density", "kind"): "rho",
+    ("density", "prime_count"): "7", ("density", "prime_limit"): "11",
+    ("density", "series_limit"): "13", ("density", "method"): "series",
+    ("table", "degrees"): "3..4", ("table", "prime_count"): "7",
+    ("table", "fmt"): "json",
+    ("verify", "max_degree"): "4", ("verify", "max_height"): "6",
+    ("error-term", "variant"): "general", ("error-term", "degree"): "4",
+    ("error-term", "heights"): "5,6", ("error-term", "prime_count"): "7",
+    ("error-term", "fmt"): "csv",
+}
+
+
+def test_env_values_name_every_subcommand_option():
+    assert set(ENV_VALUES) == {(name, param.name)
+                               for name, command in cli.main.commands.items()
+                               for param in command.params}
+
+
+@pytest.mark.parametrize("command, name", sorted(ENV_VALUES))
+def test_subcommand_options_read_no_environment(runner, parsed, command, name):
+    param = next(p for p in cli.main.commands[command].params
+                 if p.name == name)
+    argv = [command, *(arg for other, pair in REQUIRED[command].items()
+                       if other != name for arg in pair)]
+    # Both spellings a prefix-derived variable could take: EISEN_TABLE_FMT
+    # from the parameter name and EISEN_TABLE_FORMAT from the flag.
+    flag = max(param.opts, key=len).lstrip("-")
+    env = {f"EISEN_{command}_{n}".upper().replace("-", "_"):
+           ENV_VALUES[command, name] for n in (param.name, flag)}
+    codes = [runner.invoke(cli.main, argv, env=e).exit_code for e in ({}, env)]
+    assert codes == [2 if param.required else 0] * 2
+    assert len(parsed) == (0 if param.required else 2)
+    assert parsed[:1] == parsed[1:]
+
+
+def test_group_options_read_their_four_variables(runner, parsed):
+    env = {"EISEN_SIEVE_LIMIT": "1000", "EISEN_ENUMERATION_BUDGET": "7",
+           "EISEN_PRECISION_BITS": "200", "EISEN_OUTPUT_FORMAT": "json"}
+    result = runner.invoke(cli.main, ["verify"], env=env)
+    assert result.exit_code == 0
+    [(cfg, _)] = parsed
+    assert cfg == cli.CliConfig(sieve_limit=1000, enumeration_budget=7,
+                                precision_bits=200, output_format="json")

@@ -118,6 +118,15 @@ def test_emit_csv_uses_full_decimal_for_big_counts():
     assert "e+" not in text.split(",")[3]
 
 
+@pytest.mark.parametrize("emit", [emit_csv, emit_json], ids=["csv", "json"])
+def test_emitters_refuse_reals_past_the_float_range(emit):
+    row = ErrorTermRow(variant="monic", degree=110, height=1000, exact=1,
+                       main=Fraction(10**400, 3), residual=Fraction(1, 3),
+                       ratio=0.5)
+    with pytest.raises(ValueError, match="of order 1e399 is past the float"):
+        emit([row])
+
+
 def test_emit_csv_round_trips_by_reformatting(sieve):
     rows = error_term_profile("monic", 3, [10, 100], sieve,
                               prime_count=1000)
