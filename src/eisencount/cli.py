@@ -109,14 +109,30 @@ FORMAT_OPTION = click.option("--format", "fmt",
                              default=None, help="Defaults to --output-format.")
 
 
-def _emit(fmt: str, obj, text_lines) -> None:
-    """Print obj as CSV or JSON, or else the given text lines."""
+def _emit(fmt: str, obj, render_text) -> None:
+    """Print obj as CSV or JSON, or else as the lines ``render_text(obj)``.
+
+    Only a text run calls ``render_text``, so a CSV or JSON run formats
+    each value once.
+    """
     if fmt == "csv":
         click.echo(report.emit_csv(obj), nl=False)
     elif fmt == "json":
         click.echo(report.emit_json(obj), nl=False)
     else:
-        click.echo("\n".join(text_lines))
+        click.echo("\n".join(render_text(obj)))
+
+
+def _table_text(table) -> list[str]:
+    return ["d   theta   rho",
+            *(f"{d:<3} {theta}  {rho}" for d, theta, rho in table.rows)]
+
+
+def _profile_text(rows) -> list[str]:
+    real = report._format_real
+    return ["H  exact  main  residual  ratio",
+            *(f"{r.height}  {r.exact}  {real(r.main)}  {real(r.residual)}  "
+              f"{real(r.ratio)}" for r in rows)]
 
 
 @click.group()
@@ -246,9 +262,7 @@ def cmd_table(cfg: CliConfig, degrees, prime_count, fmt):
     d_min, d_max = degrees
     sieve = _sieve_for(cfg, _nth_prime_bound(prime_count))
     table = report.density_table(d_min, d_max, sieve, prime_count=prime_count)
-    _emit(fmt or cfg.output_format, table,
-          ["d   theta   rho",
-           *(f"{d:<3} {theta}  {rho}" for d, theta, rho in table.rows)])
+    _emit(fmt or cfg.output_format, table, _table_text)
 
 
 @main.command("verify")
@@ -314,11 +328,7 @@ def cmd_error_term(cfg: CliConfig, variant, degree, heights, prime_count, fmt):
     sieve = _sieve_for(cfg, needed)
     rows = report.error_term_profile(variant, degree, heights, sieve,
                                      prime_count=prime_count)
-    real = report._format_real
-    _emit(fmt or cfg.output_format, rows,
-          ["H  exact  main  residual  ratio",
-           *(f"{r.height}  {r.exact}  {real(r.main)}  {real(r.residual)}  "
-             f"{real(r.ratio)}" for r in rows)])
+    _emit(fmt or cfg.output_format, rows, _profile_text)
 
 
 if __name__ == "__main__":

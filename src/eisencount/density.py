@@ -17,6 +17,20 @@ untruncated constant.  All arithmetic runs on integers scaled by
 2**precision_bits with directed rounding, so the brackets account for
 every rounding step as well as the omitted tail; results are exposed as
 exact fractions.
+
+The series needs, for every square-free s, the floor of
+phi(s)^k * 2^P / s^(d+k) at P = precision_bits and whether it rounded.
+Since floor(floor(x/a)/b) = floor(x/(ab)), that is d+k successive long
+divisions by s, which run in uint64 numpy over a segment of terms at
+once.  The numerator streams by as base-2^32 limbs, most significant
+first (at most three non-zero, as phi^k < 2^54, then P//32 zero limbs),
+through d+k stages that each keep one remainder per term.  A stage
+computes rem * 2^32 + limb < s * 2^32 < 2^59, exact because
+s <= MAX_SIEVE_LIMIT < 2^27; the last stage's quotient limbs are summed
+column by column, each column below SEGMENT * 2^32 = 2^48, into a Python
+integer.  A term is inexact exactly when some stage leaves a non-zero
+remainder.  The extra memory is d+k remainder arrays of one segment,
+whatever P.
 """
 
 from __future__ import annotations
@@ -88,6 +102,42 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
+_LIMB = np.uint64(32)
+_LIMB_MASK = np.uint64(2**32 - 1)
+
+
+def _floor_sum(numer: np.ndarray, s: np.ndarray, expo: int,
+               precision_bits: int) -> tuple[int, int]:
+    """Sum of floor(numer * 2^precision_bits / s^expo) over the terms.
+
+    Returns that sum and the number of terms whose division is inexact.
+    ``numer`` (below 2^64) and ``s`` (2 <= s < 2^27) are integer arrays
+    of equal length; see the module docstring for the long division.
+    """
+    numer = numer.astype(np.uint64)
+    s = s.astype(np.uint64)
+    # numer * 2^(P mod 32) in three limbs, dropping leading all-zero ones.
+    shift = np.uint64(precision_bits % 32)
+    high, low = numer >> _LIMB, numer & _LIMB_MASK
+    head = [high >> (_LIMB - shift),
+            ((high << shift) | (low >> (_LIMB - shift))) & _LIMB_MASK,
+            (low << shift) & _LIMB_MASK]
+    while len(head) > 1 and not head[0].any():
+        del head[0]
+    rems = np.zeros((expo, s.size), np.uint64)
+    wide = np.empty_like(s)
+    digit = np.empty_like(s)
+    total = 0
+    for i in range(len(head) + precision_bits // 32):
+        digit[:] = head[i] if i < len(head) else 0
+        for rem in rems:
+            np.left_shift(rem, _LIMB, out=wide)
+            wide += digit
+            np.divmod(wide, s, out=(digit, rem))
+        total = (total << 32) + int(digit.sum())
+    return total, int(np.count_nonzero(rems.any(axis=0)))
+
+
 def _product_estimate(kind: str, d: int, sieve: ArithSieve, prime_count: int | None,
                       prime_limit: int | None, precision_bits: int) -> DensityEstimate:
     _validate_common(d, precision_bits)
@@ -155,19 +205,20 @@ def _series_estimate(kind: str, d: int, sieve: ArithSieve, series_limit: int,
     lo = hi = 0
     mu = mobius_table(series_limit, sieve)
     phi = totient_table(series_limit, sieve)
-    # The square-free terms become Python lists one SEGMENT at a time.
     for start in range(2, series_limit + 1, SEGMENT):
-        keep = np.flatnonzero(mu[start:start + SEGMENT]) + start
+        signs = mu[start:start + SEGMENT]
+        # The term -mu(s) phi(s)^k / s^(d+k) is added where mu(s) = -1 and
+        # subtracted where mu(s) = 1; lo rounds each term down, hi up.
         # int64 is exact: phi(s) < s <= MAX_SIEVE_LIMIT = 1e8, so phi(s)^2 < 2^63.
-        for s, m, numer in zip(keep.tolist(), mu[keep].tolist(),
-                               (phi[keep] ** k).tolist()):
-            q, r = divmod(numer << precision_bits, s ** expo)
-            if m < 0:  # term enters the sum with a plus sign
-                lo += q
-                hi += q + (1 if r else 0)
-            else:
-                lo -= q + (1 if r else 0)
-                hi -= q
+        added = np.flatnonzero(signs < 0) + start
+        q, inexact = _floor_sum(phi[added] ** k, added, expo, precision_bits)
+        lo += q
+        hi += q + inexact
+        subtracted = np.flatnonzero(signs > 0) + start
+        q, inexact = _floor_sum(phi[subtracted] ** k, subtracted, expo,
+                                precision_bits)
+        lo -= q + inexact
+        hi -= q
 
     # Tail: each summand is below 1/s^d in absolute value, so the omitted
     # part is within sum over s > S of 1/s^d <= 1 / ((d-1) S^(d-1)).

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from click.testing import CliRunner
 
-from eisencount import arith, cli
+from eisencount import arith, cli, report
 from eisencount.counting import ExactCount
 from eisencount.density import DensityEstimate
 
@@ -133,6 +133,31 @@ def test_density_both_methods_overlap(runner):
     assert result.exit_code == 0
     assert "euler_product" in result.output
     assert "mobius_series" in result.output
+
+
+# Recorded from the per-term big-integer loop the limb division replaced;
+# perfbench checks density output only by enclosure, so these pin it.
+SERIES_GOLDENS = {
+    ("rho", 2, None):
+        "rho(2) = 0.167655785003  in [0.167650785003, 0.167660785003]",
+    ("rho", 2, 60):
+        "rho(2) = 0.167655785003  in [0.167650785002, 0.167660785003]",
+    ("theta", 3, None):
+        "theta(3) = 0.0952910730313  in [0.0952910730188, 0.0952910730438]",
+    ("theta", 3, 60):
+        "theta(3) = 0.0952910730313  in [0.0952910730187, 0.0952910730438]",
+}
+
+
+@pytest.mark.parametrize("kind, degree, bits", SERIES_GOLDENS)
+def test_density_series_golden(runner, kind, degree, bits):
+    group = [] if bits is None else ["--precision-bits", str(bits)]
+    result = runner.invoke(cli.main, [*group, "density", "-d", str(degree),
+                                      "--kind", kind, "--method", "series",
+                                      "--series-limit", "200000"])
+    assert result.exit_code == 0
+    assert result.stdout == (f"{SERIES_GOLDENS[kind, degree, bits]}  "
+                             "via mobius_series series_limit=200000\n")
 
 
 @pytest.mark.parametrize("args, flag", [
@@ -287,6 +312,23 @@ def test_error_term_text(runner):
                                       "--degree", "2", "--heights", "10,100"])
     assert result.exit_code == 0
     assert "ratio" in result.output
+
+
+def test_error_term_json_formats_each_real_once(runner, monkeypatch):
+    calls = []
+    format_real = report._format_real
+
+    def counted(x):
+        calls.append(x)
+        return format_real(x)
+
+    monkeypatch.setattr(report, "_format_real", counted)
+    result = runner.invoke(cli.main, ["error-term", "--variant", "monic",
+                                      "-d", "3", "--heights", "100,1000",
+                                      "--format", "json"])
+    assert result.exit_code == 0
+    assert len(json.loads(result.stdout)) == 2
+    assert len(calls) == 3 * 2  # main, residual and ratio of each row
 
 
 def test_error_term_height_one_exits_2(runner):

@@ -8,12 +8,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import eisencount
-from eisencount.arith import SEGMENT, mobius_table, totient_table
-from eisencount.density import (POWERS, DensityEstimate, asymptotic_main,
-                                refined_asymptotic_theta, rho_product,
-                                rho_series, theta_product, theta_series)
+from eisencount.arith import (MAX_SIEVE_LIMIT, SEGMENT, mobius_table,
+                              totient_table)
+from eisencount.density import (POWERS, DensityEstimate, _floor_sum,
+                                asymptotic_main, refined_asymptotic_theta,
+                                rho_product, rho_series, theta_product,
+                                theta_series)
 
 
 def test_single_factor_products(big_sieve):
@@ -108,15 +112,29 @@ def test_empty_series_is_a_pure_tail_bracket(big_sieve):
         assert 0 <= est.upper - Fraction(1, d - 1) <= ulp
 
 
-def _reference_series_sum(kind, d, sieve, limit, precision_bits):
-    """The directed-rounding sum over all square-free s <= limit at once."""
+def _reference_series_sum(kind, d, sieve, limits, precision_bits):
+    """The directed-rounding sum over all square-free s, term by term.
+
+    Read out at each of ``limits``: returns {S: (value, lower, upper)}
+    with the tail bound 1 / ((d-1) S^(d-1)) on the bracket.
+    """
     k = POWERS[kind]
-    mu = mobius_table(limit, sieve)
-    phi = totient_table(limit, sieve)
+    one = 1 << precision_bits
+    mu = mobius_table(max(limits), sieve)
+    phi = totient_table(max(limits), sieve)
     keep = np.flatnonzero(mu[2:] != 0) + 2
+    terms = zip(keep.tolist(), mu[keep].tolist(), (phi[keep] ** k).tolist())
+    stops = sorted(limits, reverse=True)
     lo = hi = 0
-    for s, m, numer in zip(keep.tolist(), mu[keep].tolist(),
-                           (phi[keep] ** k).tolist()):
+    out = {}
+    for s, m, numer in [*terms, (max(limits) + 1, 0, 0)]:
+        while stops and stops[-1] < s:
+            S = stops.pop()
+            tail = -(-one // ((d - 1) * S ** (d - 1)))
+            out[S] = (Fraction(lo + hi, 2 * one), Fraction(lo - tail, one),
+                      Fraction(hi + tail, one))
+        if not m:
+            break
         q, r = divmod(numer << precision_bits, s ** (d + k))
         if m < 0:
             lo += q
@@ -124,18 +142,64 @@ def _reference_series_sum(kind, d, sieve, limit, precision_bits):
         else:
             lo -= q + (1 if r else 0)
             hi -= q
-    return Fraction(lo + hi, 2 << precision_bits)
+    return out
 
 
-@pytest.mark.parametrize("limit", [2, SEGMENT + 1, SEGMENT + 2,
-                                   2 * SEGMENT + 2, 3 * SEGMENT])
+SERIES_LIMITS = (1, 2, 3, SEGMENT + 1, SEGMENT + 2, 2 * SEGMENT + 2,
+                 3 * SEGMENT)
+SERIES_DEGREES = (2, 3, 7, 10)
+SERIES_BITS = (60, 61, 96, 127, 1024)
+
+
+@pytest.fixture(scope="module")
+def series_reference(big_sieve):
+    """_reference_series_sum at every SERIES_LIMITS entry, per (kind, d, bits)."""
+    cache = {}
+
+    def reference(kind, d, bits):
+        if (kind, d, bits) not in cache:
+            cache[kind, d, bits] = _reference_series_sum(
+                kind, d, big_sieve, SERIES_LIMITS, bits)
+        return cache[kind, d, bits]
+
+    return reference
+
+
+@pytest.mark.parametrize("limit", SERIES_LIMITS)
 @pytest.mark.parametrize("fn", [theta_series, rho_series], ids=["theta", "rho"])
-def test_series_segments_sum_every_term_once(big_sieve, fn, limit):
-    # Segments start at s = 2, so SEGMENT + 2 ends the first exactly.
+def test_series_segments_sum_every_term_once(big_sieve, series_reference, fn,
+                                             limit):
+    # Segments start at s = 2, so SEGMENT + 2 ends the first exactly.  At
+    # limit 2 the one term, s = 2, divides exactly, so an inexact count
+    # that is not read from the remainders widens the bracket by one ulp.
     kind = fn.__name__.split("_")[0]
-    for d in (2, 3):
-        est = fn(d, big_sieve, series_limit=limit, precision_bits=96)
-        assert est.value == _reference_series_sum(kind, d, big_sieve, limit, 96)
+    for d in SERIES_DEGREES:
+        for bits in SERIES_BITS:
+            est = fn(d, big_sieve, series_limit=limit, precision_bits=bits)
+            want = series_reference(kind, d, bits)[limit]
+            assert (est.value, est.lower, est.upper) == want, (d, bits)
+            assert est.truncation == ("series_limit", limit)
+            assert est.method == "mobius_series"
+
+
+_terms = st.lists(
+    st.tuples(st.one_of(st.integers(2, 10**8), st.just(MAX_SIEVE_LIMIT),
+                        st.integers(1, 26).map(lambda e: 2**e)),
+              st.one_of(st.integers(1, 2**54 - 1),
+                        st.integers(0, 53).map(lambda e: 2**e))),
+    max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(terms=_terms, expo=st.integers(3, 12), bits=st.integers(60, 300))
+@example(terms=[(MAX_SIEVE_LIMIT, 2**54 - 1), (2, 1), (2**26, 2**53)],
+         expo=12, bits=300)
+def test_limb_floor_sum_matches_python_division(terms, expo, bits):
+    s = np.array([t[0] for t in terms], dtype=np.int64)
+    numer = np.array([t[1] for t in terms], dtype=np.int64)
+    quotients = [divmod(n << bits, m ** expo) for m, n in terms]
+    want = (sum(q for q, _ in quotients), sum(1 for _, r in quotients if r))
+    assert _floor_sum(numer, s, expo, bits) == want
 
 
 def test_series_values_at_moderate_truncation(big_sieve):
@@ -279,6 +343,7 @@ def test_higher_precision_narrows_or_matches_rounding(big_sieve):
 # ru_maxrss would carry over the test runner's size across exec, and
 # tracemalloc slows the 600,000-term loop about 30-fold.
 _SERIES_RSS_RISE = """
+import sys
 from eisencount.arith import build_sieve
 from eisencount.density import theta_series
 
@@ -287,19 +352,25 @@ def kib(field):
         line = next(l for l in status if l.startswith(field + ":"))
     return int(line.split()[1])
 
+bits = int(sys.argv[1])
 sieve = build_sieve(10**6)
-theta_series(2, sieve, series_limit=2)
+theta_series(2, sieve, series_limit=2, precision_bits=bits)
 before = kib("VmRSS")
-theta_series(2, sieve, series_limit=10**6)
+theta_series(2, sieve, series_limit=10**6, precision_bits=bits)
 print(kib("VmHWM") - before)
 """
 
 
-def test_series_peak_memory_stays_near_its_tables():
+@pytest.mark.parametrize("bits", [96, 4096])
+def test_series_peak_memory_stays_near_its_tables(bits):
     # mu and phi to 10^6 are 8 MB each; the rest is one SEGMENT of terms
     # at a time.  Lists of every term at once took 9.9 times one table.
+    # At 4096 bits, 128 zero limbs follow the numerator's: they stream
+    # through the remainders, where a limbs x terms matrix of one segment
+    # would take 131 * 8 bytes for each of its ~40,000 terms.
     src = str(Path(eisencount.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", _SERIES_RSS_RISE], env=env,
-                         capture_output=True, text=True, check=True).stdout
+    out = subprocess.run([sys.executable, "-c", _SERIES_RSS_RISE, str(bits)],
+                         env=env, capture_output=True, text=True,
+                         check=True).stdout
     assert int(out) * 1024 <= 3 * 8 * 10**6
