@@ -30,7 +30,10 @@ s <= MAX_SIEVE_LIMIT < 2^27; the last stage's quotient limbs are summed
 column by column, each column below SEGMENT * 2^32 = 2^48, into a Python
 integer.  A term is inexact exactly when some stage leaves a non-zero
 remainder.  The extra memory is d+k remainder arrays of one segment,
-whatever P.
+whatever P.  A term with bitlen(phi^k) + P <= (d+k) * (bitlen(s) - 1)
+skips the stages: it is below 1, so its quotient is 0 and it is inexact.
+At 96 bits that is no term at d = 2, 99.9% of the terms below 10^6 at
+d = 10 and every term from d = 97 on.
 """
 
 from __future__ import annotations
@@ -116,6 +119,21 @@ def _floor_sum(numer: np.ndarray, s: np.ndarray, expo: int,
     """
     numer = numer.astype(np.uint64)
     s = s.astype(np.uint64)
+    # A term with numer < 2^room, room = expo * (bitlen(s) - 1) - P, is
+    # below 2^(room+P) <= s^expo: its quotient is 0 and, as numer >= 1, it
+    # is inexact, so it skips the stages.  No term can when the largest s
+    # leaves room < 1, as at d = 2.  frexp gives bitlen(s) exactly, as
+    # s < 2^27 is exact in float64; clipping room to 0..63 changes no
+    # comparison, as 1 <= numer < 2^54.
+    dropped = 0
+    if s.size and expo * (int(s.max()).bit_length() - 1) > precision_bits:
+        room = expo * (np.frexp(s.astype(np.float64))[1].astype(np.int64) - 1)
+        room = np.clip(room - precision_bits, 0, 63).astype(np.uint64)
+        small = numer < np.left_shift(np.uint64(1), room)
+        dropped = int(np.count_nonzero(small))
+        numer, s = numer[~small], s[~small]
+        if not s.size:
+            return 0, dropped
     # numer * 2^(P mod 32) in three limbs, dropping leading all-zero ones.
     shift = np.uint64(precision_bits % 32)
     high, low = numer >> _LIMB, numer & _LIMB_MASK
@@ -135,7 +153,7 @@ def _floor_sum(numer: np.ndarray, s: np.ndarray, expo: int,
             wide += digit
             np.divmod(wide, s, out=(digit, rem))
         total = (total << 32) + int(digit.sum())
-    return total, int(np.count_nonzero(rems.any(axis=0)))
+    return total, dropped + int(np.count_nonzero(rems.any(axis=0)))
 
 
 def _product_estimate(kind: str, d: int, sieve: ArithSieve, prime_count: int | None,

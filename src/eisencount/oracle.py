@@ -1,20 +1,39 @@
 """Brute-force ground truth for the Eisenstein criterion.
 
 Everything here works by direct enumeration and trial division, with no
-sieve and no inclusion-exclusion, so it can serve as an independent check
-on the fast counting route.  The enumeration refuses requests above a
-configurable polynomial budget rather than truncating silently.
+sieve, no Möbius function and no inclusion-exclusion, so it can serve as
+an independent check on the fast counting route.  ``Polynomial`` and
+:func:`is_eisenstein` decide one polynomial at a time; the counters give
+every polynomial of the box its own truth value too, but in numpy blocks.
+
+The counters loop in Python over the constant term a_0 and find its
+candidate primes (those dividing it exactly once) by trial division.  For
+one a_0 the remaining coefficients span a box with one axis each: the
+leading coefficient (over [-H, H], or only the value 1 for a monic
+count), then the d - 1 middle ones, over [-H, H].  Prime p witnesses
+exactly the cells of the outer product of per-axis masks: p ∤ a_d on the
+leading axis and p | a_i on each middle one.  The masks of all candidate
+primes are ORed cell by cell and the true cells counted.  The box is cut
+into blocks of at most ``BLOCK`` cells by looping over its first axes,
+so the memory stays a few blocks whatever the degree.  Requests above a
+configurable polynomial budget are refused before any array is
+allocated, rather than truncated silently.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import BudgetExceededError, check_degree_height
 from .results import VARIANTS, ExactCount, box_size
 
 DEFAULT_ENUMERATION_BUDGET = 10**8
+# Most cells (polynomials sharing one a_0) that one numpy block holds.
+BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -105,6 +124,35 @@ def is_eisenstein(f: Polynomial) -> bool:
     return bool(eisenstein_witnesses(f))
 
 
+def _blocks(sizes: list[int]) -> Iterator[tuple[slice, ...]]:
+    """Index tuples that cut a box of these axis sizes into <= BLOCK cells.
+
+    The trailing axes that fit whole stay whole; the axis before them is
+    cut into runs, and every axis before that is taken one value at a time.
+    """
+    t, inner = len(sizes), 1
+    while t and inner * sizes[t - 1] <= BLOCK:
+        t -= 1
+        inner *= sizes[t]
+    whole = (slice(None),) * (len(sizes) - t)
+    if not t:
+        yield whole
+        return
+    step = BLOCK // inner
+    for prefix in itertools.product(*map(range, sizes[:t - 1])):
+        head = tuple(slice(i, i + 1) for i in prefix)
+        for j in range(0, sizes[t - 1], step):
+            yield head + (slice(j, j + step),) + whole
+
+
+def _outer(masks: list[np.ndarray]) -> np.ndarray:
+    """The boolean outer product: one cell per choice of an entry per mask."""
+    out = masks[0]
+    for mask in masks[1:]:
+        out = np.logical_and.outer(out, mask)
+    return out
+
+
 def _brute_count(variant: str, d: int, H: int, budget: int) -> ExactCount:
     """Exhaust the variant's box; bad arguments raise before it is sized."""
     check_degree_height(d, H)
@@ -116,21 +164,22 @@ def _brute_count(variant: str, d: int, H: int, budget: int) -> ExactCount:
             f"{variant} degree-{d} enumeration needs {size} polynomials, "
             f"over the budget of {budget}"
         )
-    span = range(-H, H + 1)
-    # a_d is free only when k = 2; a monic a_d = 1 is never divisible.
-    leads = span if VARIANTS[variant] == 2 else (1,)
+    span = np.arange(-H, H + 1)
+    # a_d is free only when k = 2; a monic a_d = 1 is never divisible.  Its
+    # axis goes first: a one-cell axis last would make _outer copy a block.
+    leads = span if VARIANTS[variant] == 2 else np.ones(1, np.int64)
+    sizes = [leads.size] + [span.size] * (d - 1)
     count = 0
-    for a0 in span:
+    for a0 in range(-H, H + 1):
         primes = _candidate_primes(a0)
         if not primes:
             continue
-        for middle in itertools.product(span, repeat=d - 1):
-            surviving = [p for p in primes if all(c % p == 0 for c in middle)]
-            if not surviving:
-                continue
-            for lead in leads:
-                if any(lead % p for p in surviving):
-                    count += 1
+        masks = [[leads % p != 0] + [span % p == 0] * (d - 1) for p in primes]
+        for block in _blocks(sizes):
+            hit = _outer([axis[i] for axis, i in zip(masks[0], block)])
+            for mask in masks[1:]:
+                hit |= _outer([axis[i] for axis, i in zip(mask, block)])
+            count += int(np.count_nonzero(hit))
     return ExactCount(value=count, degree=d, height=H, variant=variant,
                       method="brute")
 

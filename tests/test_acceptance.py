@@ -44,7 +44,7 @@ HAND_VALUES = {
 # Monic cubic counts at growing heights, from the exact counter (pilot run).
 CUBIC_MONIC_COUNTS = {100: 776988, 1000: 763362612, 10000: 762470799198}
 
-GRID = [(2, 25), (3, 25), (4, 12)]
+GRID = [(2, 60), (3, 25), (4, 12), (5, 6)]
 
 
 @pytest.fixture(scope="module")

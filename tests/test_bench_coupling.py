@@ -6,15 +6,18 @@ the slow benchmark tests run.  This loads that file, without changing
 it, and checks each name against the package, and that the layers it
 expects are still reached through those names.  It loads
 ``perfbench/workloads.py`` the same way and parses every command line
-the benchmark can run, so a CLI change that breaks one fails here too.
+the benchmark can run, so a CLI change that breaks one fails here too,
+and checks the default ``verify`` output against the one recorded there.
 """
 
 import importlib.util
 import inspect
+import os
 from collections import Counter
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
 from eisencount import arith, cli, density
 
@@ -92,3 +95,13 @@ def test_every_benchmark_command_line_parses(workloads, parsed):
     for argv in lines:
         cli.main.main(argv, standalone_mode=False)
     assert len(parsed) == len(lines)
+
+
+def test_default_verify_prints_the_recorded_stdout(workloads, monkeypatch):
+    # small-verify runs the default grid and wants this stdout byte for byte.
+    for name in list(os.environ):
+        if name.startswith("EISEN_"):
+            monkeypatch.delenv(name)
+    result = CliRunner().invoke(cli.main, ["verify"])
+    assert result.exit_code == 0
+    assert result.stdout == workloads.load_expected()["stdout"]["verify"]

@@ -112,55 +112,61 @@ def test_empty_series_is_a_pure_tail_bracket(big_sieve):
         assert 0 <= est.upper - Fraction(1, d - 1) <= ulp
 
 
-def _reference_series_sum(kind, d, sieve, limits, precision_bits):
+def _reference_series_sum(kind, d, sieve, limits, precisions):
     """The directed-rounding sum over all square-free s, term by term.
 
-    Read out at each of ``limits``: returns {S: (value, lower, upper)}
-    with the tail bound 1 / ((d-1) S^(d-1)) on the bracket.
+    Read out at each of ``limits`` and each of ``precisions``: returns
+    {(P, S): (value, lower, upper)} with the tail bound 1 / ((d-1) S^(d-1))
+    on the bracket.
     """
     k = POWERS[kind]
-    one = 1 << precision_bits
     mu = mobius_table(max(limits), sieve)
     phi = totient_table(max(limits), sieve)
     keep = np.flatnonzero(mu[2:] != 0) + 2
     terms = zip(keep.tolist(), mu[keep].tolist(), (phi[keep] ** k).tolist())
     stops = sorted(limits, reverse=True)
-    lo = hi = 0
+    lo = dict.fromkeys(precisions, 0)
+    hi = dict.fromkeys(precisions, 0)
     out = {}
     for s, m, numer in [*terms, (max(limits) + 1, 0, 0)]:
         while stops and stops[-1] < s:
             S = stops.pop()
-            tail = -(-one // ((d - 1) * S ** (d - 1)))
-            out[S] = (Fraction(lo + hi, 2 * one), Fraction(lo - tail, one),
-                      Fraction(hi + tail, one))
+            for P in precisions:
+                one = 1 << P
+                tail = -(-one // ((d - 1) * S ** (d - 1)))
+                out[P, S] = (Fraction(lo[P] + hi[P], 2 * one),
+                             Fraction(lo[P] - tail, one),
+                             Fraction(hi[P] + tail, one))
         if not m:
             break
-        q, r = divmod(numer << precision_bits, s ** (d + k))
-        if m < 0:
-            lo += q
-            hi += q + (1 if r else 0)
-        else:
-            lo -= q + (1 if r else 0)
-            hi -= q
+        den = s ** (d + k)
+        for P in precisions:
+            q, r = divmod(numer << P, den)
+            if m < 0:
+                lo[P] += q
+                hi[P] += q + (1 if r else 0)
+            else:
+                lo[P] -= q + (1 if r else 0)
+                hi[P] -= q
     return out
 
 
 SERIES_LIMITS = (1, 2, 3, SEGMENT + 1, SEGMENT + 2, 2 * SEGMENT + 2,
                  3 * SEGMENT)
-SERIES_DEGREES = (2, 3, 7, 10)
+SERIES_DEGREES = (2, 3, 7, 10, 40, 100)
 SERIES_BITS = (60, 61, 96, 127, 1024)
 
 
 @pytest.fixture(scope="module")
 def series_reference(big_sieve):
-    """_reference_series_sum at every SERIES_LIMITS entry, per (kind, d, bits)."""
+    """_reference_series_sum at every SERIES_LIMITS and SERIES_BITS entry."""
     cache = {}
 
-    def reference(kind, d, bits):
-        if (kind, d, bits) not in cache:
-            cache[kind, d, bits] = _reference_series_sum(
-                kind, d, big_sieve, SERIES_LIMITS, bits)
-        return cache[kind, d, bits]
+    def reference(kind, d):
+        if (kind, d) not in cache:
+            cache[kind, d] = _reference_series_sum(
+                kind, d, big_sieve, SERIES_LIMITS, SERIES_BITS)
+        return cache[kind, d]
 
     return reference
 
@@ -176,7 +182,7 @@ def test_series_segments_sum_every_term_once(big_sieve, series_reference, fn,
     for d in SERIES_DEGREES:
         for bits in SERIES_BITS:
             est = fn(d, big_sieve, series_limit=limit, precision_bits=bits)
-            want = series_reference(kind, d, bits)[limit]
+            want = series_reference(kind, d)[bits, limit]
             assert (est.value, est.lower, est.upper) == want, (d, bits)
             assert est.truncation == ("series_limit", limit)
             assert est.method == "mobius_series"
@@ -194,6 +200,10 @@ _terms = st.lists(
 @given(terms=_terms, expo=st.integers(3, 12), bits=st.integers(60, 300))
 @example(terms=[(MAX_SIEVE_LIMIT, 2**54 - 1), (2, 1), (2**26, 2**53)],
          expo=12, bits=300)
+# bitlen(numer) + P = expo * (bitlen(s) - 1) exactly: q = 0 for 2^12 - 1,
+# q = 1 (exact) for 2^12, and the same pair one bit under the line.
+@example(terms=[(2**26, 2**12 - 1), (2**26, 2**12), (2**27 - 1, 2**12 - 1),
+                (2**27 - 1, 2**12)], expo=12, bits=300)
 def test_limb_floor_sum_matches_python_division(terms, expo, bits):
     s = np.array([t[0] for t in terms], dtype=np.int64)
     numer = np.array([t[1] for t in terms], dtype=np.int64)

@@ -2,17 +2,21 @@
 
 import ast
 import itertools
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eisencount import oracle
+from eisencount.counting import count_monic_eisenstein
 from eisencount.errors import BudgetExceededError
 from eisencount.oracle import (Polynomial, brute_count_general,
                                brute_count_monic, eisenstein_witnesses,
                                is_eisenstein)
+from eisencount.results import VARIANTS, box_size
 
 
 def test_polynomial_basics():
@@ -33,6 +37,12 @@ def test_witness_examples():
     assert eisenstein_witnesses(Polynomial((2, 2, 1))) == [2]
     assert eisenstein_witnesses(Polynomial((6, 6, 1))) == [2, 3]
     assert eisenstein_witnesses(Polynomial((4, 3, 1))) == []
+    # a lead that one candidate prime of a_0 divides and another does not
+    assert eisenstein_witnesses(Polynomial((6, 6, 2))) == [3]
+    assert eisenstein_witnesses(Polynomial((-6, 0, 3))) == [2]
+    assert eisenstein_witnesses(Polynomial((30, 30, 6))) == [5]
+    assert eisenstein_witnesses(Polynomial((-30, 0, 10))) == [3]
+    assert eisenstein_witnesses(Polynomial((30, 30, 15))) == [2]
 
 
 def test_zero_constant_term_never_qualifies():
@@ -116,11 +126,65 @@ def _predicate_count_general(d, H):
 
 
 def test_fast_enumeration_matches_plain_predicate_loop():
-    # the optimized counting loops must agree with the one-call-per-
-    # polynomial route they shortcut
-    for d, H in ((2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2)):
+    # the block counts must agree with the one-call-per-polynomial route
+    # they shortcut; a_0 = +-6 (H >= 6) and +-30 (H >= 30) have two and
+    # three candidate primes, so H = 6, 10, 30 check the OR across them
+    for d, H in ((2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2),
+                 (2, 6), (2, 10), (2, 30)):
         assert brute_count_monic(d, H).value == _predicate_count_monic(d, H)
         assert brute_count_general(d, H).value == _predicate_count_general(d, H)
+
+
+_PREDICATE_COUNTS = {"monic": _predicate_count_monic,
+                     "general": _predicate_count_general}
+_BRUTE_COUNTS = {"monic": brute_count_monic, "general": brute_count_general}
+
+
+@st.composite
+def _small_boxes(draw):
+    """(variant, d, H) whose box holds at most 2 * 10^4 polynomials."""
+    variant = draw(st.sampled_from(sorted(VARIANTS)))
+    d = draw(st.integers(2, 8))
+    h_max = 1
+    while box_size(variant, d, h_max + 1) <= 2 * 10**4:
+        h_max += 1
+    return variant, d, draw(st.integers(1, h_max))
+
+
+@settings(max_examples=50, deadline=None)
+@given(box=_small_boxes())
+def test_block_enumeration_matches_plain_predicate_loop(box):
+    variant, d, H = box
+    assert (_BRUTE_COUNTS[variant](d, H).value
+            == _PREDICATE_COUNTS[variant](d, H))
+
+
+@pytest.mark.parametrize("sizes", [
+    [1], [3], [1, 5, 5], [41, 41, 41], [1] + [5] * 10, [13] * 5,
+    [oracle.BLOCK + 7], [2, oracle.BLOCK - 1], [300, 300], [7, 1, 9400],
+], ids=lambda sizes: "x".join(map(str, sizes)))
+def test_blocks_tile_the_box_once_and_stay_small(sizes):
+    seen = np.zeros(sizes, np.int8)
+    for block in oracle._blocks(sizes):
+        assert seen[block].size <= oracle.BLOCK
+        seen[block] += 1
+    assert (seen == 1).all()
+
+
+def test_block_memory_stays_a_few_blocks(sieve):
+    # 5^10 middle coefficients per a_0 = +-2: unblocked, about 10 MB of
+    # booleans per slab; in blocks, a block and its last outer step.  The
+    # bound is absolute, three blocks of 2^16 cells, so that a larger
+    # BLOCK fails here too.
+    brute_count_monic(2, 2)
+    tracemalloc.start()
+    try:
+        value = brute_count_monic(11, 2).value
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 2**16
+    assert value == count_monic_eisenstein(11, 2, sieve).value
 
 
 def test_counts_monotone_and_bounded():
