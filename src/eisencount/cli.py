@@ -147,7 +147,7 @@ def _profile_text(rows) -> list[str]:
 @click.option("--precision-bits", envvar="EISEN_PRECISION_BITS",
               type=click.IntRange(min=MIN_PRECISION_BITS),
               default=DEFAULT_PRECISION_BITS, show_default=True,
-              help="Working precision (bits) of the density command's brackets.")
+              help="Working precision (bits) of the density constants.")
 @click.option("--output-format", envvar="EISEN_OUTPUT_FORMAT",
               type=click.Choice(["text", "csv", "json"]),
               default="text", show_default=True,
@@ -261,7 +261,8 @@ def cmd_table(cfg: CliConfig, degrees, prime_count, fmt):
     """Tabulate theta and rho over a degree range at display precision."""
     d_min, d_max = degrees
     sieve = _sieve_for(cfg, _nth_prime_bound(prime_count))
-    table = report.density_table(d_min, d_max, sieve, prime_count=prime_count)
+    table = report.density_table(d_min, d_max, sieve, prime_count=prime_count,
+                                 precision_bits=cfg.precision_bits)
     _emit(fmt or cfg.output_format, table, _table_text)
 
 
@@ -327,7 +328,8 @@ def cmd_error_term(cfg: CliConfig, variant, degree, heights, prime_count, fmt):
     needed = max(max(heights), _nth_prime_bound(prime_count))
     sieve = _sieve_for(cfg, needed)
     rows = report.error_term_profile(variant, degree, heights, sieve,
-                                     prime_count=prime_count)
+                                     prime_count=prime_count,
+                                     precision_bits=cfg.precision_bits)
     _emit(fmt or cfg.output_format, rows, _profile_text)
 
 

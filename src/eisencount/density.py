@@ -34,12 +34,43 @@ whatever P.  A term with bitlen(phi^k) + P <= (d+k) * (bitlen(s) - 1)
 skips the stages: it is below 1, so its quotient is 0 and it is inexact.
 At 96 bits that is no term at d = 2, 99.9% of the terms below 10^6 at
 d = 10 and every term from d = 97 on.
+
+The product multiplies its factors 1 - x_p, x_p = (p-1)^k / p^(d+k), one
+at a time only for the primes p <= B.  The cut B = 2^ceil(Q/14) depends
+on the working precision Q = P + GUARD_BITS alone: B = 1024 at the
+default 96 bits, and from P = 333 on B is above the sieve cap, so every
+prime is a factor.  The primes B < p <= N (N the truncation point)
+contribute exp(-L) with
+
+    L = -sum log(1 - x_p) = sum over m >= 1 of (1/m) sum_p x_p^m
+      = sum over m of (1/m) sum over j <= km of C(km, j) (-1)^j S(dm + j),
+
+where S(s) = sum over B < p <= N of p^(-s), since x_p^m = p^(-dm) (1 -
+1/p)^(km).  The sum stops at the least M whose remainder, at most
+B^(1-d(M+1)) / ((d(M+1)-1)(M+1)(1-B^(-d))) as x_p <= p^(-d), is under
+2^(-Q): M is 6 or 7 at d = 2 and 1 from d = 8 on.  Each S(s) is
+bracketed by floor sums at Q bits: floor(2^Q / p^s) for all these primes
+at once is floor(2^Q / p^(s-1)) divided by p, a long division over
+base-2^32 limbs in uint64 numpy as for the series.  Each floor is less
+than 1 below its term, so S(s) lies in [sum, sum + n] / 2^Q for n
+primes.  The floors are 0 from s = 14 on, since p^14 > B^14 >= 2^Q, so a
+prime leaves the pass once its quotient is 0, and so does each leading
+limb once it is 0 for every prime.  These roundings add
+n sum_m 2^(km) / m units of 2^(-Q) to the width of L, which the
+GUARD_BITS keep near one unit of 2^(-P) even for the 5.8 million primes
+below the sieve cap.  With L < 2/B < 1, the partial sums of exp(-L)'s
+alternating Taylor series fall on either side of it, which brackets
+exp(-L) in exact fractions; that bracket then multiplies the loop's two
+tracks with directed rounding.  The floor sums depend only on the primes
+and Q, so a table reuses one pass for all its constants.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 
@@ -57,6 +88,8 @@ MIN_PRECISION_BITS = 60
 DEFAULT_PRECISION_BITS = 96
 DEFAULT_PRIME_COUNT = 10000
 DEFAULT_SERIES_LIMIT = 10**6
+# Extra bits the product's power sums carry beyond precision_bits.
+GUARD_BITS = 32
 
 
 @dataclass(frozen=True)
@@ -156,6 +189,100 @@ def _floor_sum(numer: np.ndarray, s: np.ndarray, expo: int,
     return total, dropped + int(np.count_nonzero(rems.any(axis=0)))
 
 
+@functools.lru_cache(maxsize=1)
+def _prime_power_sums(sieve: ArithSieve, first: int, stop: int,
+                      bits: int) -> tuple[int, ...]:
+    """Entry s is the sum of floor(2^bits / p^s) over sieve.primes[first:stop].
+
+    Entries run from s = 0 to the first s whose sum is 0, as is every
+    later one.  Cached for the last (sieve, first, stop, bits), so the
+    constants of one table share a single pass over the primes.
+    """
+    p = sieve.primes[first:stop].astype(np.uint64)
+    # 2^bits in limbs, most significant first: 2^(bits mod 32), then zeros.
+    limbs = [np.full(p.size, 1 << bits % 32, np.uint64),
+             *(np.zeros(p.size, np.uint64) for _ in range(bits // 32))]
+    sums = [p.size << bits]
+    while p.size:
+        rem = np.zeros_like(p)
+        wide = np.empty_like(p)
+        total = 0
+        for limb in limbs:
+            # rem < p < 2^27, so rem * 2^32 + limb < 2^59.
+            np.left_shift(rem, _LIMB, out=wide)
+            wide += limb
+            np.divmod(wide, p, out=(limb, rem))
+            total = (total << 32) + int(limb.sum())
+        sums.append(total)
+        while limbs and not limbs[0].any():
+            del limbs[0]
+        # The quotient does not increase with p, so its zeros are a suffix.
+        live = np.zeros(p.size, bool)
+        for limb in limbs:
+            live |= limb != 0
+        n = int(np.count_nonzero(live))
+        p, limbs = p[:n], [limb[:n] for limb in limbs]
+    return tuple(sums)
+
+
+def _log_bracket(d: int, k: int, sums: tuple[int, ...], n: int, bits: int,
+                 cut: int) -> tuple[Fraction, Fraction]:
+    """Bounds on L = -sum log(1 - x_p) over n primes above ``cut``.
+
+    ``sums`` are the primes' floor sums at ``bits`` from
+    :func:`_prime_power_sums`; see the module docstring for the expansion.
+    """
+    # The least M whose remainder bound
+    # B^(1-d(M+1)) / ((d(M+1)-1)(M+1)(1-B^(-d))) = 1 / den is under 2^-bits.
+    M = 1
+    while True:
+        den = (cut ** (d * M - 1) * (d * (M + 1) - 1) * (M + 1)
+               * (cut ** d - 1))
+        if den > 1 << bits:
+            break
+        M += 1
+    low, high = Fraction(0), Fraction(1 << bits, den)
+    for m in range(1, M + 1):
+        # sum_p x_p^m in units of 2^-bits; S(s) is in [floor sum, + n].
+        a_lo = a_hi = 0
+        for j in range(k * m + 1):
+            floor = sums[d * m + j] if d * m + j < len(sums) else 0
+            c = comb(k * m, j)
+            if j % 2:
+                a_lo -= c * (floor + n)
+                a_hi -= c * floor
+            else:
+                a_lo += c * floor
+                a_hi += c * (floor + n)
+        low += Fraction(max(a_lo, 0), m)
+        high += Fraction(a_hi, m)
+    if high >= 1 << bits:
+        raise InvariantError("the power-sum logarithm is not below 1")
+    return low / (1 << bits), high / (1 << bits)
+
+
+def _exp_neg(low: Fraction, high: Fraction,
+             bits: int) -> tuple[Fraction, Fraction]:
+    """Bounds down <= exp(-high) and exp(-low) <= up, for 0 <= low <= high < 1.
+
+    The terms x^i / i! of the alternating Taylor series of exp(-x) shrink,
+    so its partial sums fall on either side of it; the last two, taken once
+    a term is under 2^-bits, bracket it.  down comes from the series at
+    x = high and up from the one at x = low.
+    """
+    def partial_sums(x: Fraction) -> tuple[Fraction, Fraction]:
+        total = term = Fraction(1)
+        i = 0
+        while True:
+            i += 1
+            term = term * x / i
+            previous, total = total, total - term if i % 2 else total + term
+            if term * (1 << bits) < 1:
+                return min(previous, total), max(previous, total)
+
+    return partial_sums(high)[0], partial_sums(low)[1]
+
+
 def _product_estimate(kind: str, d: int, sieve: ArithSieve, prime_count: int | None,
                       prime_limit: int | None, precision_bits: int) -> DensityEstimate:
     _validate_common(d, precision_bits)
@@ -173,12 +300,18 @@ def _product_estimate(kind: str, d: int, sieve: ArithSieve, prime_count: int | N
         truncation = ("prime_limit", prime_limit)
     k = POWERS[kind]
     primes = sieve.primes_upto(tail_from)
+    # The loop takes the primes up to the cut B = 2^ceil(Q/14), with Q the
+    # precision plus GUARD_BITS: every p > B has p^14 > 2^Q, so the power
+    # sums for the rest run at most 13 non-zero steps.
+    bits = precision_bits + GUARD_BITS
+    cut = 1 << _ceil_div(bits, 14)
+    explicit = primes[:int(np.searchsorted(primes, cut, side="right"))]
 
     one = 1 << precision_bits
     lo = hi = one
     # int64 is exact: p <= MAX_SIEVE_LIMIT = 1e8, so (p-1)^2 < 1e16 < 2^63.
-    deficits = ((primes - 1) ** k).tolist()
-    for i, (p, deficit) in enumerate(zip(primes.tolist(), deficits)):
+    deficits = ((explicit - 1) ** k).tolist()
+    for i, (p, deficit) in enumerate(zip(explicit.tolist(), deficits)):
         den = p ** (d + k)
         # Times (1 - deficit/den): lo rounds down, hi rounds up.
         drop = hi * deficit // den
@@ -186,10 +319,21 @@ def _product_estimate(kind: str, d: int, sieve: ArithSieve, prime_count: int | N
             # deficit/den = (p-1)^k / p^(d+k) does not increase with p and hi
             # never grows, so from here on hi stays put and each factor
             # lowers lo by exactly 1 while lo > 0.
-            lo = max(0, lo - (primes.size - i))
+            lo = max(0, lo - (explicit.size - i))
             break
         lo += -lo * deficit // den
         hi -= drop
+    if primes.size > explicit.size:
+        # The factors above the cut are exp(-L), L = sum over m of (1/m)
+        # sum_p x_p^m, from their power sums at Q bits with the m > M
+        # remainder bounded; exp(-L) lies in [down, up] by the alternating
+        # Taylor series, and multiplies lo down and hi up.
+        sums = _prime_power_sums(sieve, explicit.size, primes.size, bits)
+        low, high = _log_bracket(d, k, sums, primes.size - explicit.size,
+                                 bits, cut)
+        down, up = _exp_neg(low, high, bits)
+        lo = lo * down.numerator // down.denominator
+        hi = _ceil_div(hi * up.numerator, up.denominator)
 
     # Omitted factors multiply the product by something in [exp(-T), 1]
     # where T bounds the sum of 2x over the omitted deficits x; since

@@ -153,6 +153,13 @@ def _outer(masks: list[np.ndarray]) -> np.ndarray:
     return out
 
 
+def _divisible(H: int, p: int) -> np.ndarray:
+    """Mask over the values -H..H that p divides; index i holds i - H."""
+    mask = np.zeros(2 * H + 1, bool)
+    mask[H % p::p] = True
+    return mask
+
+
 def _brute_count(variant: str, d: int, H: int, budget: int) -> ExactCount:
     """Exhaust the variant's box; bad arguments raise before it is sized."""
     check_degree_height(d, H)
@@ -174,7 +181,8 @@ def _brute_count(variant: str, d: int, H: int, budget: int) -> ExactCount:
         primes = _candidate_primes(a0)
         if not primes:
             continue
-        masks = [[leads % p != 0] + [span % p == 0] * (d - 1) for p in primes]
+        masks = [[leads % p != 0] + [_divisible(H, p)] * (d - 1)
+                 for p in primes]
         for block in _blocks(sizes):
             hit = _outer([axis[i] for axis, i in zip(masks[0], block)])
             for mask in masks[1:]:

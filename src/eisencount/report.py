@@ -17,8 +17,8 @@ from typing import Iterable, Sequence
 
 from .arith import ArithSieve
 from .counting import count_general_eisenstein, count_monic_eisenstein
-from .density import (DEFAULT_PRIME_COUNT, DensityEstimate, rho_product,
-                      theta_product)
+from .density import (DEFAULT_PRECISION_BITS, DEFAULT_PRIME_COUNT,
+                      DensityEstimate, rho_product, theta_product)
 from .errors import check_degree
 from .results import VARIANTS
 
@@ -102,20 +102,24 @@ def error_normalization(variant: str, d: int, H: int) -> int | float:
 
 
 def density_table(d_min: int, d_max: int, sieve: ArithSieve, *,
-                  prime_count: int = DEFAULT_PRIME_COUNT) -> DensityTable:
+                  prime_count: int = DEFAULT_PRIME_COUNT,
+                  precision_bits: int = DEFAULT_PRECISION_BITS) -> DensityTable:
     """Tabulate theta_d and rho_d for d_min <= d <= d_max at 4 decimals.
 
     Values come from the Euler products truncated to ``prime_count``
-    primes; display strings round ties away from zero.  Every digit shown
-    is certified: both ends of each bracket must round to the same string,
-    otherwise ValueError names the constant that is not.
+    primes at ``precision_bits``; display strings round ties away from
+    zero.  Every digit shown is certified: both ends of each bracket must
+    round to the same string, otherwise ValueError names the constant that
+    is not.
     """
     if not 2 <= d_min <= d_max:
         raise ValueError(f"need 2 <= d_min <= d_max, got {d_min}..{d_max}")
     rows = []
     for d in range(d_min, d_max + 1):
-        theta = theta_product(d, sieve, prime_count=prime_count)
-        rho = rho_product(d, sieve, prime_count=prime_count)
+        theta = theta_product(d, sieve, prime_count=prime_count,
+                              precision_bits=precision_bits)
+        rho = rho_product(d, sieve, prime_count=prime_count,
+                          precision_bits=precision_bits)
         rows.append((d, _certified_display(theta), _certified_display(rho)))
     return DensityTable(rows=tuple(rows), prime_count=prime_count)
 
@@ -134,17 +138,22 @@ def _certified_display(est: DensityEstimate) -> str:
 
 def error_term_profile(variant: str, d: int, heights: Sequence[int],
                        sieve: ArithSieve, *,
-                       prime_count: int = DEFAULT_PRIME_COUNT) -> list[ErrorTermRow]:
+                       prime_count: int = DEFAULT_PRIME_COUNT,
+                       precision_bits: int = DEFAULT_PRECISION_BITS
+                       ) -> list[ErrorTermRow]:
     """Compare exact counts against main terms along increasing heights.
 
     For each H in ``heights`` (strictly increasing, every one at least 2)
     the exact count comes from the inclusion-exclusion counter and the
     main term from the point value of the density constant at the given
-    product truncation.  The residual and ratio are computed from that
-    point value alone; the width of the constant's bracket is not carried
-    into them, and it can exceed the residual (monic d = 2 with 1e4
-    primes: residual 1.08e4 at H = 1e5, main-term bracket 5.7e5 wide).
-    ROADMAP item 3 carries the residual as an interval instead.
+    product truncation and ``precision_bits``.  A constant whose bracket
+    does not keep it away from 0 (lower end <= 0, or width >= value), as
+    theta_d at 96 bits from d ~ 80 on, raises ValueError before any
+    count.  The residual and ratio are computed from the point value
+    alone; the width of the constant's bracket is not carried into them,
+    and it can exceed the residual (monic d = 2 with 1e4 primes: residual
+    1.08e4 at H = 1e5, main-term bracket 5.7e5 wide).  ROADMAP item 2
+    carries the residual as an interval instead.
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {tuple(VARIANTS)}")
@@ -157,7 +166,15 @@ def error_term_profile(variant: str, d: int, heights: Sequence[int],
         raise ValueError("heights must be strictly increasing")
     monic = variant == "monic"
     product = theta_product if monic else rho_product
-    constant = product(d, sieve, prime_count=prime_count)
+    constant = product(d, sieve, prime_count=prime_count,
+                       precision_bits=precision_bits)
+    if constant.lower <= 0 or constant.width >= constant.value:
+        raise ValueError(
+            f"{constant.kind}({d}) is not separated from 0 at "
+            f"{precision_bits} bits: its bracket is "
+            f"[{float(constant.lower):.3g}, {float(constant.upper):.3g}]; "
+            "raise precision_bits (--precision-bits)"
+        )
     count_fn = count_monic_eisenstein if monic else count_general_eisenstein
     power = d + VARIANTS[variant] - 1
     rows = []

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from eisencount import arith, cli, density
+from eisencount import arith, cli, density, report
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -105,3 +105,22 @@ def test_default_verify_prints_the_recorded_stdout(workloads, monkeypatch):
     result = CliRunner().invoke(cli.main, ["verify"])
     assert result.exit_code == 0
     assert result.stdout == workloads.load_expected()["stdout"]["verify"]
+
+
+def test_no_benchmark_error_term_line_hits_the_rounding_floor(workloads,
+                                                              parsed,
+                                                              big_sieve):
+    # error-term refuses a constant whose bracket does not keep it from 0;
+    # the benchmark's constants are certain to about 1e-5, far from that.
+    lines = [argv for workload in workloads.WORKLOADS
+             for argv in workloads.every_command(workload)
+             if workloads.subcommand(argv) == "error-term"]
+    for argv in lines:
+        cli.main.main(argv, standalone_mode=False)
+    assert len(parsed) == len(lines) > 0
+    for cfg, options in parsed:
+        rows = report.error_term_profile(
+            options["variant"], options["degree"], [2], big_sieve,
+            prime_count=options["prime_count"],
+            precision_bits=cfg.precision_bits)
+        assert len(rows) == 1

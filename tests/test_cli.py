@@ -8,7 +8,7 @@ from click.testing import CliRunner
 
 from eisencount import arith, cli, report
 from eisencount.counting import ExactCount
-from eisencount.density import DensityEstimate
+from eisencount.density import DensityEstimate, theta_product
 
 
 @pytest.fixture()
@@ -158,6 +158,33 @@ def test_density_series_golden(runner, kind, degree, bits):
     assert result.exit_code == 0
     assert result.stdout == (f"{SERIES_GOLDENS[kind, degree, bits]}  "
                              "via mobius_series series_limit=200000\n")
+
+
+# Recorded from the prime-by-prime product loop that the power sums above
+# the cut replaced; perfbench checks density brackets only by enclosure.
+PRODUCT_GOLDENS = {
+    "density -d 2 --kind rho --prime-count 78498":
+        "rho(2) = 0.167655730283  in [0.167655730283, 0.167657395]  "
+        "via euler_product prime_count=78498\n",
+    "density -d 5 --kind theta":
+        "theta(5) = 0.0186362489281  in [0.0186362489281, 0.0186362489281]  "
+        "via euler_product prime_count=10000\n",
+    "density -d 10 --kind rho --prime-count 78498":
+        "rho(10) = 0.00025173365153  in [0.00025173365153, 0.00025173365153]  "
+        "via euler_product prime_count=78498\n",
+    "table --degrees 2..10 --prime-count 78498":
+        "d   theta   rho\n2   0.2515  0.1677\n3   0.0953  0.0556\n"
+        "4   0.0409  0.0224\n5   0.0186  0.0099\n6   0.0088  0.0046\n"
+        "7   0.0042  0.0022\n8   0.0021  0.0010\n9   0.0010  0.0005\n"
+        "10  0.0005  0.0003\n",
+}
+
+
+@pytest.mark.parametrize("argv", PRODUCT_GOLDENS)
+def test_density_product_golden(runner, argv):
+    result = runner.invoke(cli.main, argv.split())
+    assert result.exit_code == 0
+    assert result.stdout == PRODUCT_GOLDENS[argv]
 
 
 @pytest.mark.parametrize("args, flag", [
@@ -383,13 +410,64 @@ def test_malformed_degrees_and_heights_exit_2(runner, flag, value):
 
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
 def test_error_term_past_the_float_range_exits_2(runner, fmt):
-    # The main term of monic degree 110 at H = 1000 is about 8.2e337.
+    # theta_110 ~ 2^-111 needs more than 96 bits to be told from 0; at 400
+    # bits the main term of monic degree 110 at H = 1000 is about 5.1e329.
+    result = runner.invoke(cli.main, ["--precision-bits", "400", "error-term",
+                                      "--variant", "monic", "-d", "110",
+                                      "--heights", "1000", "--format", fmt])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "a value of order 1e329 is past the float range" in result.stderr
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_error_term_refuses_a_constant_at_its_rounding_floor(runner,
+                                                             monkeypatch, fmt):
+    # theta_100 ~ 3.9e-31 is below 2^-96: at the default precision its
+    # bracket starts at 0, so the main term would be rounding noise.
+    def never(*args, **kwargs):
+        raise AssertionError("counted before the constant was refused")
+    monkeypatch.setattr(report, "count_monic_eisenstein", never)
     result = runner.invoke(cli.main, ["error-term", "--variant", "monic",
-                                      "-d", "110", "--heights", "1000",
+                                      "-d", "100", "--heights", "1000",
                                       "--format", fmt])
     assert result.exit_code == 2
     assert result.stdout == ""
-    assert "a value of order 1e337 is past the float range" in result.stderr
+    assert "theta(100) is not separated from 0 at 96 bits" in result.stderr
+    assert "--precision-bits" in result.stderr
+
+
+def test_error_term_at_higher_precision_keeps_the_main_term_certified(runner):
+    result = runner.invoke(cli.main, ["--precision-bits", "400", "error-term",
+                                      "--variant", "monic", "-d", "100",
+                                      "--heights", "1000", "--format", "json"])
+    assert result.exit_code == 0
+    (row,) = json.loads(result.stdout)
+    theta = theta_product(100, arith.build_sieve(200_000), precision_bits=400)
+    assert 3.9e-31 < theta.lower < theta.upper < 4e-31
+    # Both ends of the bracket times (2H)^100 print as the main term.
+    scale = 2000 ** 100
+    for end in (theta.lower, theta.upper):
+        assert float(f"{float(end * scale):.10g}") == row["main"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["error-term", "--variant", "monic", "-d", "3", "--heights", "10"],
+    ["table", "--degrees", "2..3"],
+], ids=["error-term", "table"])
+def test_precision_bits_reaches_the_report_constants(runner, monkeypatch,
+                                                     argv):
+    seen = []
+
+    def spy(d, sieve, **kwargs):
+        seen.append(kwargs["precision_bits"])
+        return theta_product(d, sieve, **kwargs)
+    monkeypatch.setattr(report, "theta_product", spy)
+    for group in ([], ["--precision-bits", "120"]):
+        result = runner.invoke(cli.main, [*group, *argv])
+        assert result.exit_code == 0
+    half = len(seen) // 2
+    assert seen == [96] * half + [120] * half and half
 
 
 # The options a subcommand cannot run without, and for every subcommand

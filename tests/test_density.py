@@ -1,5 +1,6 @@
 """Density estimate tests: brackets, truncations, asymptotics."""
 
+import math
 import os
 import subprocess
 import sys
@@ -12,12 +13,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import eisencount
-from eisencount.arith import (MAX_SIEVE_LIMIT, SEGMENT, mobius_table,
-                              totient_table)
-from eisencount.density import (POWERS, DensityEstimate, _floor_sum,
-                                asymptotic_main, refined_asymptotic_theta,
-                                rho_product, rho_series, theta_product,
-                                theta_series)
+from eisencount.arith import (MAX_SIEVE_LIMIT, SEGMENT, ArithSieve,
+                              mobius_table, totient_table)
+from eisencount.density import (GUARD_BITS, KINDS, POWERS, DensityEstimate,
+                                _exp_neg, _floor_sum, _log_bracket,
+                                _prime_power_sums, asymptotic_main,
+                                refined_asymptotic_theta, rho_product,
+                                rho_series, theta_product, theta_series)
 
 
 def test_single_factor_products(big_sieve):
@@ -43,46 +45,104 @@ def test_prime_count_equals_limit_at_the_nth_prime(big_sieve, fn):
                     == (by_limit.value, by_limit.lower, by_limit.upper))
 
 
-def _reference_products(kind, d, sieve, stops, precision_bits):
-    """The Euler-product loop with no early exit, read out along the way.
+def _reference_products(kind, d, sieve, stops, precisions):
+    """The Euler-product loop over every prime, with no early exit or cut.
 
-    ``stops`` maps a number of primes n to the point P its tail bound
-    starts from; returns {n: (value, lower, upper)} after n factors.
+    Read out along the way at each of ``precisions``: ``stops`` maps a
+    number of primes n to the point P its tail bound starts from; returns
+    {(bits, n): (value, lower, upper)} after n factors.
     """
     k = POWERS[kind]
-    one = 1 << precision_bits
-    lo = hi = one
+    one = {bits: 1 << bits for bits in precisions}
+    lo = dict(one)
+    hi = dict(one)
     out = {}
     for n, p in enumerate(sieve.primes[:max(stops)].tolist(), start=1):
         den = p ** (d + k)
         num = den - (p - 1) ** k
-        lo = lo * num // den
-        hi = -(-hi * num // den)
+        for bits in precisions:
+            lo[bits] = lo[bits] * num // den
+            hi[bits] = -(-hi[bits] * num // den)
         if n in stops:
             P = stops[n]
-            tail = -(-2 * one // ((d - 1) * P ** (d - 1)))
-            full_lo = max(0, lo * (one - tail) // one) if tail < one else 0
-            out[n] = (1 - Fraction(lo + hi, 2 * one), 1 - Fraction(hi, one),
-                      1 - Fraction(full_lo, one))
+            for bits in precisions:
+                tail = -(-2 * one[bits] // ((d - 1) * P ** (d - 1)))
+                full_lo = (max(0, lo[bits] * (one[bits] - tail) // one[bits])
+                           if tail < one[bits] else 0)
+                out[bits, n] = (1 - Fraction(lo[bits] + hi[bits], 2 * one[bits]),
+                                1 - Fraction(hi[bits], one[bits]),
+                                1 - Fraction(full_lo, one[bits]))
     return out
 
 
-@pytest.mark.parametrize("bits", [60, 96, 200])
+def _exact_product(kind, d, primes):
+    """prod over ``primes`` of 1 - (p-1)^k / p^(d+k): (numerator, denominator)."""
+    k = POWERS[kind]
+    factors = [p ** (d + k) - (p - 1) ** k for p in primes]
+    while len(factors) > 1:  # a product tree keeps the big products few
+        factors = [math.prod(factors[i:i + 2])
+                   for i in range(0, len(factors), 2)]
+    return factors[0], math.prod(primes) ** (d + k)
+
+
+PRODUCT_COUNTS = (1, 2, 50, 10**4, 78_498)
+PRODUCT_BITS = (60, 96, 200)
+# The loop's last prime when prime_limit = 1000, and its prime count.
+LIMIT, LIMIT_COUNT = 1000, 168
+
+
+@pytest.fixture(scope="module")
+def product_reference(big_sieve):
+    """Per (kind, d): the reference loop at every PRODUCT_COUNTS entry and
+    at prime_limit 1000, and the exact product at every count up to 10^4."""
+    cache = {}
+
+    def reference(kind, d):
+        if (kind, d) not in cache:
+            stops = {n: big_sieve.nth_prime(n) for n in PRODUCT_COUNTS}
+            stops[LIMIT_COUNT] = LIMIT
+            exact = {n: _exact_product(kind, d, big_sieve.primes[:n].tolist())
+                     for n in (*PRODUCT_COUNTS[:4], LIMIT_COUNT)}
+            cache[kind, d] = (_reference_products(kind, d, big_sieve, stops,
+                                                  PRODUCT_BITS), exact)
+        return cache[kind, d]
+
+    return reference
+
+
+def _tracks(est, bits):
+    """The integer tracks (lo, hi) of a product estimate, at scale 2^bits."""
+    hi = (1 - est.lower) * (1 << bits)
+    lo = 2 * (1 - est.value) * (1 << bits) - hi
+    assert lo.denominator == hi.denominator == 1
+    return int(lo), int(hi)
+
+
+@pytest.mark.parametrize("bits", PRODUCT_BITS)
 @pytest.mark.parametrize("fn", [theta_product, rho_product], ids=["theta", "rho"])
-def test_product_early_exit_is_exact(big_sieve, fn, bits):
+def test_product_early_exit_is_exact(big_sieve, product_reference, fn, bits):
+    # Up to the cut B every prime is a factor of the loop, so the result is
+    # bit for bit the full loop's.  Past it the tracks [lo, hi] must hold
+    # the exact truncated product (checked by integer cross-multiplication)
+    # and be no further apart than the full loop's.
     kind = fn.__name__.split("_")[0]
-    counts = (1, 2, 50, 10**4, big_sieve.prime_count())
+    cut = 1 << -(-(bits + GUARD_BITS) // 14)
     for d in range(2, 13):
-        stops = {n: big_sieve.nth_prime(n) for n in counts}
-        reference = _reference_products(kind, d, big_sieve, stops, bits)
-        for n in counts:
-            est = fn(d, big_sieve, prime_count=n, precision_bits=bits)
-            assert (est.value, est.lower, est.upper) == reference[n], (d, n)
-    # A prime_limit that is not itself prime: 168 primes, tail from 1000.
-    for d in (2, 12):
-        want = _reference_products(kind, d, big_sieve, {168: 1000}, bits)[168]
-        est = fn(d, big_sieve, prime_limit=1000, precision_bits=bits)
-        assert (est.value, est.lower, est.upper) == want, d
+        reference, exact = product_reference(kind, d)
+        for n in (*PRODUCT_COUNTS, LIMIT_COUNT):
+            if n == LIMIT_COUNT:
+                est = fn(d, big_sieve, prime_limit=LIMIT, precision_bits=bits)
+            else:
+                est = fn(d, big_sieve, prime_count=n, precision_bits=bits)
+            want = reference[bits, n]
+            if big_sieve.nth_prime(n) <= cut:
+                assert (est.value, est.lower, est.upper) == want, (d, n)
+                continue
+            assert est.value - est.lower <= want[0] - want[1], (d, n)
+            if n in exact:
+                num, den = exact[n]
+                lo, hi = _tracks(est, bits)
+                assert lo * den <= num << bits <= hi * den, (d, n)
 
 
 def test_product_values_at_default_truncation(big_sieve):
@@ -210,6 +270,91 @@ def test_limb_floor_sum_matches_python_division(terms, expo, bits):
     quotients = [divmod(n << bits, m ** expo) for m, n in terms]
     want = (sum(q for q, _ in quotients), sum(1 for _, r in quotients if r))
     assert _floor_sum(numer, s, expo, bits) == want
+
+
+def _prime_at_most(n):
+    """The largest prime <= n, for 2 <= n, by trial division."""
+    while any(n % q == 0 for q in range(2, math.isqrt(n) + 1)):
+        n -= 1
+    return n
+
+
+def _sieve_of(primes):
+    """A stand-in sieve that holds just these ascending primes."""
+    return ArithSieve(limit=max(primes, default=2), spf=np.zeros(0, np.int32),
+                      primes=np.array(primes, dtype=np.int64))
+
+
+@settings(max_examples=150, deadline=None)
+@given(primes=st.lists(st.one_of(st.integers(2, MAX_SIEVE_LIMIT),
+                                 st.integers(2, 3000)).map(_prime_at_most),
+                       max_size=30).map(sorted),
+       first=st.integers(0, 30), bits=st.integers(60, 300))
+@example(primes=[2, 3, 1031, 99_999_989], first=0, bits=96)
+def test_prime_power_sums_match_python_division(primes, first, bits):
+    bits += GUARD_BITS
+    _prime_power_sums.cache_clear()
+    sums = _prime_power_sums(_sieve_of(primes), first, len(primes), bits)
+    assert sums[-1] == 0 and 0 not in sums[:-1]
+    for s in range(41):
+        want = sum(2**bits // p**s for p in primes[first:])
+        assert (sums[s] if s < len(sums) else 0) == want, s
+
+
+def _remainder(d, M, cut):
+    """The bound on sum over m > M of (1/m) sum_{p > cut} x_p^m."""
+    return (Fraction(cut) ** (1 - d * (M + 1))
+            / ((d * (M + 1) - 1) * (M + 1) * (1 - Fraction(cut) ** -d)))
+
+
+@pytest.mark.parametrize("bits", [92, 128, 232, 332])
+@pytest.mark.parametrize("d", [2, 3, 7, 40])
+@pytest.mark.parametrize("kind", KINDS)
+def test_log_bracket_holds_the_exact_log_sum(kind, d, bits):
+    # L = sum over m of (1/m) sum_p x_p^m lies between the sum to m = 12
+    # (M <= 8 always) and that sum plus the bound on the rest.
+    k = POWERS[kind]
+    cut = 1 << -(-bits // 14)
+    primes = [p for p in range(cut + 1, cut + 200)
+              if _prime_at_most(p) == p][:8] + [99_999_989]
+    sums = _prime_power_sums(_sieve_of(primes), 0, len(primes), bits)
+    low, high = _log_bracket(d, k, sums, len(primes), bits, cut)
+    partial = sum(Fraction((p - 1) ** k, p ** (d + k)) ** m / m
+                  for p in primes for m in range(1, 13))
+    assert 0 <= low <= partial
+    assert partial + _remainder(d, 12, cut) <= high
+    assert high - low < Fraction(1, 2 ** (bits - 24))
+    # With no primes, L = 0 and the bracket is the remainder bound alone,
+    # after the least M that brings it under 2^-bits.
+    M = next(m for m in range(1, 20)
+             if _remainder(d, m, cut) < Fraction(1, 2**bits))
+    assert _log_bracket(d, k, (0,), 0, bits, cut) == (0, _remainder(d, M, cut))
+
+
+_exponents = st.one_of(st.fractions(0, 1).filter(lambda f: f < 1),
+                       st.integers(1, 2**40).map(lambda n: Fraction(n, 2**300)),
+                       st.just(Fraction(0)))
+
+
+def _exp_neg_enclosure(x):
+    """An interval around exp(-x) about 2^-4000 wide, as exact fractions."""
+    iv = pytest.importorskip("mpmath").iv
+    to_rational = pytest.importorskip("mpmath.libmp").to_rational
+    iv.prec = 4000
+    value = iv.exp(-iv.mpf(x.numerator) / x.denominator)
+    return tuple(Fraction(*to_rational(end)) for end in value._mpi_)
+
+
+@settings(max_examples=100, deadline=None)
+@given(xs=st.lists(_exponents, min_size=1, max_size=2).map(sorted),
+       bits=st.integers(60, 400))
+def test_exp_neg_brackets_the_exponential(xs, bits):
+    low, high = xs[0], xs[-1]
+    down, up = _exp_neg(low, high, bits)
+    assert down <= _exp_neg_enclosure(high)[0]
+    assert _exp_neg_enclosure(low)[1] <= up
+    if low == high:
+        assert up - down < Fraction(1, 2**bits)
 
 
 def test_series_values_at_moderate_truncation(big_sieve):

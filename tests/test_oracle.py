@@ -187,6 +187,15 @@ def test_block_memory_stays_a_few_blocks(sieve):
     assert value == count_monic_eisenstein(11, 2, sieve).value
 
 
+@settings(max_examples=60, deadline=None)
+@given(H=st.integers(1, 300))
+def test_strided_divisibility_mask_matches_the_modulo(H):
+    # p runs past 2H, where only the value 0 is a multiple.
+    span = np.arange(-H, H + 1)
+    for p in range(2, 2 * H + 3):
+        assert np.array_equal(oracle._divisible(H, p), span % p == 0), p
+
+
 def test_counts_monotone_and_bounded():
     prev_m = prev_g = 0
     for H in range(1, 8):

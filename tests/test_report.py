@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+from eisencount import report
+from eisencount.density import _prime_power_sums, theta_product
 from eisencount.report import (DensityTable, ErrorTermRow, density_table,
                                emit_csv, emit_json, error_normalization,
                                error_term_profile, round_half_away)
@@ -89,6 +91,37 @@ def test_profile_validation(sieve):
         error_term_profile("monic", 3, [50, 10], sieve)
     with pytest.raises(ValueError):
         error_term_profile("diag", 3, [10], sieve)
+
+
+def test_table_computes_the_power_sums_once(big_sieve):
+    # The 18 products share one pass over the primes above the cut.
+    _prime_power_sums.cache_clear()
+    density_table(2, 10, big_sieve, prime_count=78498)
+    info = _prime_power_sums.cache_info()
+    assert (info.misses, info.hits) == (1, 17)
+
+
+def test_profile_refuses_a_constant_it_cannot_tell_from_zero(sieve,
+                                                             monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("counted before the constant was refused")
+    monkeypatch.setattr(report, "count_monic_eisenstein", never)
+    with pytest.raises(ValueError, match=r"theta\(100\) is not separated "
+                                         "from 0 at 96 bits"):
+        error_term_profile("monic", 100, [1000], sieve, prime_count=1000)
+    # One prime leaves a bracket [1/8, 1] that is wider than its value.
+    monkeypatch.setattr(report, "count_general_eisenstein", never)
+    with pytest.raises(ValueError, match=r"rho\(2\) is not separated"):
+        error_term_profile("general", 2, [10], sieve, prime_count=1)
+
+
+def test_profile_main_term_lies_in_the_scaled_bracket(sieve):
+    theta = theta_product(100, sieve, prime_count=1000, precision_bits=400)
+    (row,) = error_term_profile("monic", 100, [1000], sieve,
+                                prime_count=1000, precision_bits=400)
+    scale = 2000 ** 100
+    assert theta.lower * scale <= row.main <= theta.upper * scale
+    assert row.main == theta.value * scale
 
 
 def test_emit_csv_density_golden(big_sieve):
