@@ -6,9 +6,8 @@ prime count, divisor count and radical follow directly.  The module also
 provides :func:`phi_bounded`, the exact count of integers in a symmetric
 interval coprime to a modulus, which is the basic building block of the
 polynomial counting formulas, plus bulk table versions of mu and phi for
-callers that sweep a contiguous range.  The tables are filled SEGMENT
-entries at a time, each segment [lo, hi) from the primes p with p*p < hi
-only, so beyond the result they need O(SEGMENT) memory.
+callers that sweep a contiguous range, each value taken from the one at
+n / spf(n) in O(SEGMENT) memory beyond the result.
 """
 
 from __future__ import annotations
@@ -104,10 +103,14 @@ def build_sieve(limit: int = DEFAULT_SIEVE_LIMIT, *,
             f"sieve limit {limit} exceeds the memory budget {budget}"
         )
     spf = np.zeros(limit + 1, dtype=np.int32)
-    for p in range(2, math.isqrt(limit) + 1):
-        if spf[p] == 0:
-            block = spf[p * p:: p]
-            block[block == 0] = p
+    # The primes up to the square root each mark their multiples from p*p
+    # on, largest first, so the smallest prime factor writes last.
+    root = math.isqrt(limit)
+    small = np.arange(root + 1) >= 2
+    for p in range(2, math.isqrt(root) + 1):
+        small[p * p:: p] = False
+    for p in np.flatnonzero(small)[::-1].tolist():
+        spf[p * p:: p] = p
     # Everything still unmarked above 1 is prime.
     primes = np.flatnonzero(spf[2:] == 0) + 2
     spf[primes] = primes
@@ -217,69 +220,43 @@ def phi_bounded(s: int, H: int, sieve: ArithSieve) -> int:
     return sum(sign * (2 * (H // t) + 1) for t, sign in signed_divisors)
 
 
-def _check_table_limit(limit: int, sieve: ArithSieve) -> None:
+def _table(limit: int, sieve: ArithSieve, factor) -> np.ndarray:
+    """Vector of f(n) for 0 <= n <= limit, with f(0) = 0 and f(1) = 1.
+
+    For n >= 2 with p = spf(n) and m = n / p, f(n) = f(m) * factor(p, r),
+    where r tells whether p divides m too.  One gather fills each piece
+    [lo, hi): hi <= 2 * lo puts every m < hi / 2 <= lo in an earlier one,
+    and hi <= lo + SEGMENT bounds the extra memory, whatever the limit.
+    """
     if not 0 <= limit <= sieve.limit:
         raise ValueError(f"table limit {limit} outside 0..{sieve.limit}")
-
-
-def _segments(limit: int, sieve: ArithSieve) -> Iterator[tuple[int, int, list[int]]]:
-    """Yield (lo, hi, primes) covering 0..limit in SEGMENT-wide pieces.
-
-    ``primes`` are those with p*p < hi: every n in [lo, hi) with a square
-    factor has one of them, and a square-free n has at most one prime
-    factor beyond them, because two would multiply past n.
-    """
-    small = sieve.primes_upto(math.isqrt(limit)).tolist()
-    for lo in range(0, limit + 1, SEGMENT):
-        hi = min(lo + SEGMENT, limit + 1)
-        yield lo, hi, [p for p in small if p * p < hi]
+    spf = sieve.spf
+    f = np.zeros(limit + 1, dtype=np.int64)
+    f[1:2] = 1
+    lo = 2
+    while lo <= limit:
+        hi = min(2 * lo, lo + SEGMENT, limit + 1)
+        p = spf[lo:hi]
+        m = np.arange(lo, hi, dtype=np.int32) // p
+        np.multiply(f[m], factor(p, spf[m] == p), out=f[lo:hi])
+        lo = hi
+    return f
 
 
 def mobius_table(limit: int, sieve: ArithSieve) -> np.ndarray:
     """Vector of mu(n) for 0 <= n <= limit; mu[0] is set to 0.
 
     Bulk variant of :func:`mobius` for callers that need every value in
-    a range.  Each SEGMENT of the result is built from the primes p with
-    p*p below the segment's end: entries start at 1 and are multiplied by
-    -p on the multiples of p, then zeroed on the multiples of p*p.  A
-    square-free n whose remaining |product| falls short of n has exactly
-    one more prime factor, so its sign flips once more.  The extra memory
-    is a few SEGMENT-sized arrays, whatever the limit.
+    a range: mu(p * m) is 0 when p = spf(p * m) divides m and -mu(m)
+    otherwise, filled by :func:`_table`.
     """
-    _check_table_limit(limit, sieve)
-    mu = np.ones(limit + 1, dtype=np.int64)
-    for lo, hi, primes in _segments(limit, sieve):
-        seg = mu[lo:hi]
-        for p in primes:
-            seg[-lo % p::p] *= -p
-            seg[-lo % (p * p)::p * p] = 0
-        seg[np.abs(seg) < np.arange(lo, hi)] *= -1
-        np.sign(seg, out=seg)
-    mu[0] = 0
-    return mu
+    return _table(limit, sieve, lambda p, repeated: repeated - 1)
 
 
 def totient_table(limit: int, sieve: ArithSieve) -> np.ndarray:
     """Vector of phi(n) for 0 <= n <= limit; phi[0] is set to 0.
 
-    Built a SEGMENT at a time like :func:`mobius_table`: each prime p with
-    p*p below the segment's end applies phi -= phi // p to its multiples
-    and divides every power of p out of a ``rest`` array.  Where ``rest``
-    stays above 1 it is the one prime factor P beyond those primes, and
-    phi is multiplied by (P - 1) / P.  The extra memory is a few
-    SEGMENT-sized arrays, whatever the limit.
+    phi(p * m) is phi(m) * p when p = spf(p * m) divides m and
+    phi(m) * (p - 1) otherwise, filled by :func:`_table`.
     """
-    _check_table_limit(limit, sieve)
-    phi = np.arange(limit + 1, dtype=np.int64)
-    for lo, hi, primes in _segments(limit, sieve):
-        seg = phi[lo:hi]
-        rest = seg.copy()
-        for p in primes:
-            seg[-lo % p::p] -= seg[-lo % p::p] // p
-            q = p
-            while q < hi:
-                rest[-lo % q::q] //= p
-                q *= p
-        big = np.flatnonzero(rest > 1)
-        seg[big] = seg[big] // rest[big] * (rest[big] - 1)
-    return phi
+    return _table(limit, sieve, lambda p, repeated: p - 1 + repeated)

@@ -234,6 +234,10 @@ def cmd_density(cfg: CliConfig, degree, kind, prime_count, prime_limit,
         estimates.append(fn(degree, sieve, series_limit=series_limit,
                             precision_bits=cfg.precision_bits))
     for est in estimates:
+        if est.lower <= 0:
+            raise report.not_separated(est, cfg.precision_bits,
+                                       est.truncation[0])
+    for est in estimates:
         name, param = est.truncation
         click.echo(
             f"{est.kind}({est.degree}) = {float(est.value):.12g}  "

@@ -30,7 +30,10 @@ s <= MAX_SIEVE_LIMIT < 2^27; the last stage's quotient limbs are summed
 column by column, each column below SEGMENT * 2^32 = 2^48, into a Python
 integer.  A term is inexact exactly when some stage leaves a non-zero
 remainder.  The extra memory is d+k remainder arrays of one segment,
-whatever P.  A term with bitlen(phi^k) + P <= (d+k) * (bitlen(s) - 1)
+whatever P.  A stage with remainders all still 0 passes 0 limbs on, and
+takes a limb below s for every term as its remainder, passing 0 on: a
+term at d = 2 and 96 bits takes 8 divisions for theta and 12 for rho,
+not 12 and 20.  A term with bitlen(phi^k) + P <= (d+k) * (bitlen(s) - 1)
 skips the stages: it is below 1, so its quotient is 0 and it is inexact.
 At 96 bits that is no term at d = 2, 99.9% of the terms below 10^6 at
 d = 10 and every term from d = 97 on.
@@ -68,6 +71,7 @@ and Q, so a table reuses one pass for all its constants.
 from __future__ import annotations
 
 import functools
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -165,40 +169,52 @@ def _floor_sum(numer: np.ndarray, s: np.ndarray, expo: int,
         small = numer < np.left_shift(np.uint64(1), room)
         dropped = int(np.count_nonzero(small))
         numer, s = numer[~small], s[~small]
-        if not s.size:
-            return 0, dropped
-    # numer * 2^(P mod 32) in three limbs, dropping leading all-zero ones.
+    # numer * 2^(P mod 32) in three limbs; a shift wraps only masked bits.
     shift = np.uint64(precision_bits % 32)
-    high, low = numer >> _LIMB, numer & _LIMB_MASK
-    head = [high >> (_LIMB - shift),
-            ((high << shift) | (low >> (_LIMB - shift))) & _LIMB_MASK,
-            (low << shift) & _LIMB_MASK]
-    while len(head) > 1 and not head[0].any():
-        del head[0]
+    upper = numer >> (_LIMB - shift)
+    head = [upper >> _LIMB, upper & _LIMB_MASK, (numer << shift) & _LIMB_MASK]
     rems = np.zeros((expo, s.size), np.uint64)
     wide = np.empty_like(s)
-    digit = np.empty_like(s)
-    total = 0
+    quotient = np.empty_like(s)
+    # Stages start in order, each on the first non-zero limb it receives;
+    # digit is None while the limb is known to be 0.
+    started = total = 0
     for i in range(len(head) + precision_bits // 32):
-        digit[:] = head[i] if i < len(head) else 0
-        for rem in rems:
+        digit = head[i] if i < len(head) and head[i].any() else None
+        for j, rem in enumerate(rems):
+            if j == started:
+                if digit is None:
+                    break
+                started += 1
+                if (digit < s).all():
+                    rem[:] = digit
+                    digit = None
+                    break
             np.left_shift(rem, _LIMB, out=wide)
-            wide += digit
+            if digit is not None:
+                wide += digit
+            digit = quotient
             np.divmod(wide, s, out=(digit, rem))
-        total = (total << 32) + int(digit.sum())
+        total = (total << 32) + (0 if digit is None else int(digit.sum()))
     return total, dropped + int(np.count_nonzero(rems.any(axis=0)))
 
 
-@functools.lru_cache(maxsize=1)
 def _prime_power_sums(sieve: ArithSieve, first: int, stop: int,
                       bits: int) -> tuple[int, ...]:
     """Entry s is the sum of floor(2^bits / p^s) over sieve.primes[first:stop].
 
     Entries run from s = 0 to the first s whose sum is 0, as is every
     later one.  Cached for the last (sieve, first, stop, bits), so the
-    constants of one table share a single pass over the primes.
+    constants of one table share a single pass over the primes.  The
+    cache holds the sieve by a weak reference and keeps no sieve alive.
     """
-    p = sieve.primes[first:stop].astype(np.uint64)
+    return _cached_power_sums(weakref.ref(sieve), first, stop, bits)
+
+
+@functools.lru_cache(maxsize=1)
+def _cached_power_sums(sieve: weakref.ref, first: int, stop: int,
+                       bits: int) -> tuple[int, ...]:
+    p = sieve().primes[first:stop].astype(np.uint64)
     # 2^bits in limbs, most significant first: 2^(bits mod 32), then zeros.
     limbs = [np.full(p.size, 1 << bits % 32, np.uint64),
              *(np.zeros(p.size, np.uint64) for _ in range(bits // 32))]
@@ -369,18 +385,14 @@ def _series_estimate(kind: str, d: int, sieve: ArithSieve, series_limit: int,
     phi = totient_table(series_limit, sieve)
     for start in range(2, series_limit + 1, SEGMENT):
         signs = mu[start:start + SEGMENT]
-        # The term -mu(s) phi(s)^k / s^(d+k) is added where mu(s) = -1 and
-        # subtracted where mu(s) = 1; lo rounds each term down, hi up.
+        # Where mu(s) = sign the terms -mu(s) phi(s)^k / s^(d+k) add -sign
+        # times a sum in [q, q + inexact]; lo takes its low end, hi its high.
         # int64 is exact: phi(s) < s <= MAX_SIEVE_LIMIT = 1e8, so phi(s)^2 < 2^63.
-        added = np.flatnonzero(signs < 0) + start
-        q, inexact = _floor_sum(phi[added] ** k, added, expo, precision_bits)
-        lo += q
-        hi += q + inexact
-        subtracted = np.flatnonzero(signs > 0) + start
-        q, inexact = _floor_sum(phi[subtracted] ** k, subtracted, expo,
-                                precision_bits)
-        lo -= q + inexact
-        hi -= q
+        for sign in (-1, 1):
+            s = np.flatnonzero(signs == sign) + start
+            q, inexact = _floor_sum(phi[s] ** k, s, expo, precision_bits)
+            lo -= sign * q + (sign > 0) * inexact
+            hi -= sign * q - (sign < 0) * inexact
 
     # Tail: each summand is below 1/s^d in absolute value, so the omitted
     # part is within sum over s > S of 1/s^d <= 1 / ((d-1) S^(d-1)).

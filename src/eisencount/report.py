@@ -136,6 +136,17 @@ def _certified_display(est: DensityEstimate) -> str:
     return lower
 
 
+def not_separated(est: DensityEstimate, precision_bits: int,
+                  *names: str) -> ValueError:
+    """Refuse a bracket that reaches 0; ask to raise precision or ``names``."""
+    remedy = " or ".join(f"{name} (--{name.replace('_', '-')})"
+                         for name in ("precision_bits", *names))
+    return ValueError(
+        f"{est.kind}({est.degree}) is not separated from 0 at "
+        f"{precision_bits} bits: its bracket is "
+        f"[{float(est.lower):.3g}, {float(est.upper):.3g}]; raise {remedy}")
+
+
 def error_term_profile(variant: str, d: int, heights: Sequence[int],
                        sieve: ArithSieve, *,
                        prime_count: int = DEFAULT_PRIME_COUNT,
@@ -169,12 +180,7 @@ def error_term_profile(variant: str, d: int, heights: Sequence[int],
     constant = product(d, sieve, prime_count=prime_count,
                        precision_bits=precision_bits)
     if constant.lower <= 0 or constant.width >= constant.value:
-        raise ValueError(
-            f"{constant.kind}({d}) is not separated from 0 at "
-            f"{precision_bits} bits: its bracket is "
-            f"[{float(constant.lower):.3g}, {float(constant.upper):.3g}]; "
-            "raise precision_bits (--precision-bits)"
-        )
+        raise not_separated(constant, precision_bits)
     count_fn = count_monic_eisenstein if monic else count_general_eisenstein
     power = d + VARIANTS[variant] - 1
     rows = []

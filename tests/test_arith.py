@@ -55,6 +55,30 @@ def test_build_sieve_peak_memory_stays_near_its_result():
     assert peak <= 1.5 * (s.spf.nbytes + s.primes.nbytes)
 
 
+def _reference_sieve(limit):
+    """The compare-and-mask construction: each prime marks what is unmarked."""
+    spf = np.zeros(limit + 1, dtype=np.int32)
+    for p in range(2, math.isqrt(limit) + 1):
+        if spf[p] == 0:
+            block = spf[p * p:: p]
+            block[block == 0] = p
+    primes = np.flatnonzero(spf[2:] == 0) + 2
+    spf[primes] = primes
+    return spf, primes
+
+
+@pytest.mark.parametrize("limits", [
+    range(2, 301), range(2**16 - 2, 2**16 + 3), range(257**2 - 1, 257**2 + 2),
+], ids=["2..300", "around-2^16", "around-257^2"])
+def test_build_sieve_matches_the_compare_and_mask_sieve(limits):
+    for limit in limits:
+        s = build_sieve(limit)
+        spf, primes = _reference_sieve(limit)
+        assert s.spf.dtype == spf.dtype and np.array_equal(s.spf, spf), limit
+        assert (s.primes.dtype == primes.dtype
+                and np.array_equal(s.primes, primes)), limit
+
+
 def test_max_limit_cannot_raise_the_hard_cap(monkeypatch):
     # A tiny cap stands in for the real one, so a refusal that came too
     # late would allocate kilobytes, not gigabytes.
@@ -285,12 +309,14 @@ def _assert_tables_match_reference(limit, sieve):
         assert np.array_equal(got, want), (table.__name__, limit)
 
 
-# 257 is the first prime whose square, 66049, lies past the first segment
-# edge: it zeroes nothing below the edge and must enter exactly when a
-# segment's end passes its square.
-@pytest.mark.parametrize("limit", [0, 1, 2, 3, 4, SEGMENT - 1, SEGMENT,
-                                   SEGMENT + 1, 2 * SEGMENT + 1, 257**2 - 1,
-                                   257**2, 10**6])
+# The tables fill pieces [2^j, 2^(j+1)) up to 2^17 = 2 * SEGMENT, then
+# SEGMENT-wide ones, so a limit on either side of a piece's edge ends in a
+# full or a one-entry piece.  257^2 = 66049 is the first square of a prime
+# past the first SEGMENT.
+@pytest.mark.parametrize("limit", [0, 1, 2, 3, 4, 2**15 - 1, 2**15, 2**15 + 1,
+                                   SEGMENT - 1, SEGMENT, SEGMENT + 1,
+                                   2 * SEGMENT - 1, 2 * SEGMENT,
+                                   2 * SEGMENT + 1, 257**2 - 1, 257**2, 10**6])
 def test_segmented_tables_match_reference(limit, big_sieve):
     _assert_tables_match_reference(limit, big_sieve)
 
@@ -299,6 +325,13 @@ def test_segmented_tables_match_reference(limit, big_sieve):
 @given(limit=st.integers(min_value=0, max_value=3 * SEGMENT))
 def test_segmented_tables_match_reference_at_random_limits(limit, big_sieve):
     _assert_tables_match_reference(limit, big_sieve)
+
+
+@pytest.mark.parametrize("limit", [2, 3, 1000, SEGMENT + 1, 3 * SEGMENT + 5])
+def test_tables_from_a_larger_sieve_match_an_exact_sieve(limit, big_sieve):
+    exact = build_sieve(limit)
+    for table in (mobius_table, totient_table):
+        assert np.array_equal(table(limit, big_sieve), table(limit, exact))
 
 
 @pytest.fixture(scope="module")
@@ -310,8 +343,9 @@ def sieve_2e6():
 @pytest.mark.parametrize("table", [mobius_table, totient_table])
 def test_table_memory_beyond_its_result_is_a_few_segments(table, limit,
                                                           sieve_2e6):
-    # One slice per prime over the whole table needs 6 (mu) and 14 (phi)
-    # segments on top of the result at 10^6, and 11 and 27 at 2 * 10^6.
+    # Each piece holds its cofactors, a mask and a gathered copy, under
+    # 3 * 8 bytes per entry of one SEGMENT; gathering a whole table at
+    # once would need about a table's length of them instead.
     tracemalloc.start()
     try:
         result = table(limit, sieve_2e6)

@@ -224,6 +224,27 @@ def test_density_disjoint_brackets_exit_4(runner, monkeypatch):
     assert "disjoint" in result.output
 
 
+@pytest.mark.parametrize("args, flag", [
+    (["-d", "100"], "--prime-count"),
+    (["-d", "100", "--prime-limit", "1000"], "--prime-limit"),
+    (["-d", "2", "--method", "series", "--series-limit", "2"],
+     "--series-limit"),
+    (["-d", "2", "--method", "both", "--series-limit", "3"], "--series-limit"),
+], ids=["product-floor", "prime-limit", "series-tail", "both"])
+def test_density_refuses_a_bracket_that_reaches_0(runner, args, flag):
+    # theta_100 ~ 3.9e-31 lies below 2^-96, and a series cut after s = 2 or
+    # 3 leaves a tail wider than theta_2: either bracket starts at or below
+    # 0, so its point value says nothing and no line is printed.
+    result = runner.invoke(cli.main, ["density", "--kind", "theta", *args])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    degree = args[1]
+    assert (f"theta({degree}) is not separated from 0 at 96 bits"
+            in result.stderr)
+    assert "raise precision_bits (--precision-bits) or " in result.stderr
+    assert f"({flag})" in result.stderr
+
+
 def test_precision_bits_floor_is_enforced(runner):
     result = runner.invoke(cli.main, ["--precision-bits", "32", "density",
                                       "--degree", "2", "--kind", "theta"])

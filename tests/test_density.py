@@ -1,9 +1,11 @@
 """Density estimate tests: brackets, truncations, asymptotics."""
 
+import gc
 import math
 import os
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,12 +16,13 @@ from hypothesis import strategies as st
 
 import eisencount
 from eisencount.arith import (MAX_SIEVE_LIMIT, SEGMENT, ArithSieve,
-                              mobius_table, totient_table)
+                              build_sieve, mobius_table, totient_table)
 from eisencount.density import (GUARD_BITS, KINDS, POWERS, DensityEstimate,
-                                _exp_neg, _floor_sum, _log_bracket,
-                                _prime_power_sums, asymptotic_main,
-                                refined_asymptotic_theta, rho_product,
-                                rho_series, theta_product, theta_series)
+                                _cached_power_sums, _exp_neg, _floor_sum,
+                                _log_bracket, _prime_power_sums,
+                                asymptotic_main, refined_asymptotic_theta,
+                                rho_product, rho_series, theta_product,
+                                theta_series)
 
 
 def test_single_factor_products(big_sieve):
@@ -264,6 +267,13 @@ _terms = st.lists(
 # q = 1 (exact) for 2^12, and the same pair one bit under the line.
 @example(terms=[(2**26, 2**12 - 1), (2**26, 2**12), (2**27 - 1, 2**12 - 1),
                 (2**27 - 1, 2**12)], expo=12, bits=300)
+# A stage whose remainders are all 0 takes the limb as its remainder when
+# every limb is below s: the leading limb s - 1 takes that shortcut and s
+# does not, with P mod 32 = 0 (the limb is numer's high word) and not.
+@example(terms=[(10**6, ((10**6 - 1) << 32) + 5)], expo=3, bits=96)
+@example(terms=[(10**6, (10**6 << 32) + 5)], expo=3, bits=96)
+@example(terms=[(10**6, ((10**6 - 1) << 28) + 3)], expo=3, bits=100)
+@example(terms=[(10**6, (10**6 << 28) + 3)], expo=3, bits=100)
 def test_limb_floor_sum_matches_python_division(terms, expo, bits):
     s = np.array([t[0] for t in terms], dtype=np.int64)
     numer = np.array([t[1] for t in terms], dtype=np.int64)
@@ -293,12 +303,22 @@ def _sieve_of(primes):
 @example(primes=[2, 3, 1031, 99_999_989], first=0, bits=96)
 def test_prime_power_sums_match_python_division(primes, first, bits):
     bits += GUARD_BITS
-    _prime_power_sums.cache_clear()
+    _cached_power_sums.cache_clear()
     sums = _prime_power_sums(_sieve_of(primes), first, len(primes), bits)
     assert sums[-1] == 0 and 0 not in sums[:-1]
     for s in range(41):
         want = sum(2**bits // p**s for p in primes[first:])
         assert (sums[s] if s < len(sums) else 0) == want, s
+
+
+def test_power_sums_cache_keeps_no_sieve_alive():
+    sieve = build_sieve(110_000)
+    theta_product(2, sieve, prime_count=10**4)
+    assert _cached_power_sums.cache_info().currsize == 1
+    ref = weakref.ref(sieve)
+    del sieve
+    gc.collect()
+    assert ref() is None
 
 
 def _remainder(d, M, cut):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from eisencount import report
-from eisencount.density import _prime_power_sums, theta_product
+from eisencount.density import _cached_power_sums, theta_product
 from eisencount.report import (DensityTable, ErrorTermRow, density_table,
                                emit_csv, emit_json, error_normalization,
                                error_term_profile, round_half_away)
@@ -95,9 +95,9 @@ def test_profile_validation(sieve):
 
 def test_table_computes_the_power_sums_once(big_sieve):
     # The 18 products share one pass over the primes above the cut.
-    _prime_power_sums.cache_clear()
+    _cached_power_sums.cache_clear()
     density_table(2, 10, big_sieve, prime_count=78498)
-    info = _prime_power_sums.cache_info()
+    info = _cached_power_sums.cache_info()
     assert (info.misses, info.hits) == (1, 17)
 
 
