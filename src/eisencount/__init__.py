@@ -8,8 +8,8 @@ value.
 """
 
 from .arith import (ArithSieve, Factorization, build_sieve, euler_phi,
-                    factorize, mobius, mobius_table, omega, phi_bounded,
-                    radical, tau, totient_table)
+                    factorize, mobius, mobius_table, omega, phi_bounded, tau,
+                    totient_table)
 from .counting import (count_general_eisenstein, count_general_s,
                        count_monic_eisenstein, count_monic_s)
 from .density import (DensityEstimate, asymptotic_main, refined_asymptotic_theta,
@@ -25,7 +25,7 @@ __version__ = "1.0.0"
 
 __all__ = [
     "ArithSieve", "Factorization", "build_sieve", "factorize", "mobius",
-    "euler_phi", "omega", "tau", "radical", "phi_bounded", "mobius_table",
+    "euler_phi", "omega", "tau", "phi_bounded", "mobius_table",
     "totient_table",
     "Polynomial", "eisenstein_witnesses", "is_eisenstein",
     "brute_count_monic", "brute_count_general",

@@ -2,7 +2,7 @@
 
 A smallest-prime-factor table (:class:`ArithSieve`) supports O(log n)
 factorization, from which the Moebius function, Euler totient, distinct
-prime count, divisor count and radical follow directly.  The module also
+prime count and divisor count follow directly.  The module also
 provides :func:`phi_bounded`, the exact count of integers in a symmetric
 interval coprime to a modulus, which is the basic building block of the
 polynomial counting formulas, plus bulk table versions of mu and phi for
@@ -54,10 +54,6 @@ class ArithSieve:
     spf: np.ndarray
     primes: np.ndarray
 
-    def prime_count(self) -> int:
-        """Number of primes available from this sieve."""
-        return int(self.primes.size)
-
     def nth_prime(self, n: int) -> int:
         """The n-th prime (1-indexed), if covered by the sieve."""
         if not 1 <= n <= self.primes.size:
@@ -65,11 +61,6 @@ class ArithSieve:
                 f"sieve holds {self.primes.size} primes, cannot serve prime #{n}"
             )
         return int(self.primes[n - 1])
-
-    def primes_upto(self, limit: int) -> np.ndarray:
-        """Read-only view of the primes <= limit, in ascending order."""
-        cut = int(np.searchsorted(self.primes, limit, side="right"))
-        return self.primes[:cut]
 
 
 def build_sieve(limit: int = DEFAULT_SIEVE_LIMIT, *,
@@ -124,13 +115,6 @@ class Factorization:
     """Prime factorization as (prime, exponent) pairs, primes ascending."""
 
     pairs: tuple[tuple[int, int], ...]
-
-    def value(self) -> int:
-        """The integer this factorization multiplies back to."""
-        out = 1
-        for p, e in self.pairs:
-            out *= p ** e
-        return out
 
 
 def _check_range(n: int, sieve: ArithSieve) -> None:
@@ -187,15 +171,6 @@ def tau(n: int, sieve: ArithSieve) -> int:
     for _p, e in factorize(n, sieve).pairs:
         t *= e + 1
     return t
-
-
-def radical(n: int, sieve: ArithSieve) -> int:
-    """Product of the distinct primes dividing n; radical(1) = 1."""
-    _check_range(n, sieve)
-    r = 1
-    for p, _e in _prime_exponents(n, sieve.spf):
-        r *= p
-    return r
 
 
 def phi_bounded(s: int, H: int, sieve: ArithSieve) -> int:

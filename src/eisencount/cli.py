@@ -194,31 +194,26 @@ def cmd_count(cfg: CliConfig, degree, height, variant, method):
               help="theta: monic density; rho: general density.")
 @click.option("--prime-count", type=click.IntRange(min=1), default=None,
               help="Truncate the product to the first N primes.")
-@click.option("--prime-limit", type=click.IntRange(min=2), default=None,
-              help="Truncate the product to primes up to this bound.")
 @click.option("--series-limit", type=click.IntRange(min=1), default=None,
               help="Truncate the series at this modulus.")
 @click.option("--method", type=click.Choice(["product", "series", "both"]),
               default="product", show_default=True)
 @click.pass_obj
 @_guarded
-def cmd_density(cfg: CliConfig, degree, kind, prime_count, prime_limit,
-                series_limit, method):
+def cmd_density(cfg: CliConfig, degree, kind, prime_count, series_limit,
+                method):
     """Evaluate a density constant with its rigorous bracket."""
-    if prime_count is not None and prime_limit is not None:
-        raise click.UsageError("give at most one of --prime-count/--prime-limit")
     product = method in ("product", "both")
     series = method in ("series", "both")
     for flag, value, used in (("--prime-count", prime_count, product),
-                              ("--prime-limit", prime_limit, product),
                               ("--series-limit", series_limit, series)):
         if value is not None and not used:
             raise click.UsageError(f"{flag} does not apply to --method {method}")
     # One sieve sized for every route, so a refusal comes before any work.
     sizes = []
     if product:
-        sizes.append(prime_limit or
-                     _nth_prime_bound(prime_count or DEFAULT_PRIME_COUNT))
+        prime_count = prime_count or DEFAULT_PRIME_COUNT
+        sizes.append(_nth_prime_bound(prime_count))
     if series:
         series_limit = series_limit or DEFAULT_SERIES_LIMIT
         sizes.append(series_limit)
@@ -227,7 +222,6 @@ def cmd_density(cfg: CliConfig, degree, kind, prime_count, prime_limit,
     if product:
         fn = theta_product if kind == "theta" else rho_product
         estimates.append(fn(degree, sieve, prime_count=prime_count,
-                            prime_limit=prime_limit,
                             precision_bits=cfg.precision_bits))
     if series:
         fn = theta_series if kind == "theta" else rho_series

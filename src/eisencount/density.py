@@ -299,23 +299,12 @@ def _exp_neg(low: Fraction, high: Fraction,
     return partial_sums(high)[0], partial_sums(low)[1]
 
 
-def _product_estimate(kind: str, d: int, sieve: ArithSieve, prime_count: int | None,
-                      prime_limit: int | None, precision_bits: int) -> DensityEstimate:
+def _product_estimate(kind: str, d: int, sieve: ArithSieve, prime_count: int,
+                      precision_bits: int) -> DensityEstimate:
     _validate_common(d, precision_bits)
-    if prime_count is not None and prime_limit is not None:
-        raise ValueError("give at most one of prime_count or prime_limit")
-    if prime_limit is None:
-        if prime_count is None:
-            prime_count = DEFAULT_PRIME_COUNT
-        tail_from = sieve.nth_prime(prime_count)
-        truncation = ("prime_count", prime_count)
-    else:
-        if not 2 <= prime_limit <= sieve.limit:
-            raise ValueError(f"prime_limit {prime_limit} outside 2..{sieve.limit}")
-        tail_from = prime_limit
-        truncation = ("prime_limit", prime_limit)
+    tail_from = sieve.nth_prime(prime_count)
     k = POWERS[kind]
-    primes = sieve.primes_upto(tail_from)
+    primes = sieve.primes[:prime_count]
     # The loop takes the primes up to the cut B = 2^ceil(Q/14), with Q the
     # precision plus GUARD_BITS: every p > B has p^14 > 2^Q, so the power
     # sums for the rest run at most 13 non-zero steps.
@@ -364,7 +353,7 @@ def _product_estimate(kind: str, d: int, sieve: ArithSieve, prime_count: int | N
     lower = 1 - Fraction(full_hi, one)
     upper = 1 - Fraction(full_lo, one)
     return DensityEstimate(kind=kind, degree=d, value=value, lower=lower,
-                           upper=upper, truncation=truncation,
+                           upper=upper, truncation=("prime_count", prime_count),
                            method="euler_product")
 
 
@@ -405,26 +394,22 @@ def _series_estimate(kind: str, d: int, sieve: ArithSieve, series_limit: int,
                            method="mobius_series")
 
 
-def theta_product(d: int, sieve: ArithSieve, *, prime_count: int | None = None,
-                  prime_limit: int | None = None,
+def theta_product(d: int, sieve: ArithSieve, *,
+                  prime_count: int = DEFAULT_PRIME_COUNT,
                   precision_bits: int = DEFAULT_PRECISION_BITS) -> DensityEstimate:
-    """Evaluate theta_d from its Euler product over an initial prime range.
+    """Evaluate theta_d from its Euler product over the first primes.
 
-    Exactly one of ``prime_count`` (use the first so many primes) or
-    ``prime_limit`` (use all primes up to a bound) selects the truncation;
-    with neither given, the first 10,000 primes are used.  The bracket
-    encloses the full infinite product.
+    The product takes the first ``prime_count`` primes of the sieve
+    (10,000 by default); the bracket encloses the full infinite product.
     """
-    return _product_estimate("theta", d, sieve, prime_count, prime_limit,
-                             precision_bits)
+    return _product_estimate("theta", d, sieve, prime_count, precision_bits)
 
 
-def rho_product(d: int, sieve: ArithSieve, *, prime_count: int | None = None,
-                prime_limit: int | None = None,
+def rho_product(d: int, sieve: ArithSieve, *,
+                prime_count: int = DEFAULT_PRIME_COUNT,
                 precision_bits: int = DEFAULT_PRECISION_BITS) -> DensityEstimate:
     """Euler-product evaluation of rho_d; see :func:`theta_product`."""
-    return _product_estimate("rho", d, sieve, prime_count, prime_limit,
-                             precision_bits)
+    return _product_estimate("rho", d, sieve, prime_count, precision_bits)
 
 
 def theta_series(d: int, sieve: ArithSieve, *,

@@ -24,23 +24,23 @@ from .results import VARIANTS
 
 PROFILE_COLUMNS = ("variant", "d", "H", "exact", "main", "residual", "ratio")
 TABLE_COLUMNS = ("d", "theta", "rho")
+# Decimal places of a density table entry.
+PLACES = 4
 
 
-def round_half_away(value: Fraction | int, places: int = 4) -> str:
-    """Fixed-point decimal string, rounding ties away from zero.
+def round_half_away(value: Fraction | int) -> str:
+    """Decimal string to PLACES places, rounding ties away from zero.
 
     >>> round_half_away(Fraction(25145, 100000))
     '0.2515'
     """
-    if places < 1:
-        raise ValueError(f"places must be at least 1, got {places}")
-    frac = Fraction(value) * 10 ** places
+    frac = Fraction(value) * 10 ** PLACES
     q, r = divmod(abs(frac.numerator), frac.denominator)
     if 2 * r >= frac.denominator:
         q += 1
     sign = "-" if frac < 0 and q > 0 else ""
-    scale = 10 ** places
-    return f"{sign}{q // scale}.{q % scale:0{places}d}"
+    scale = 10 ** PLACES
+    return f"{sign}{q // scale}.{q % scale:0{PLACES}d}"
 
 
 def _real(x) -> float:
@@ -130,7 +130,7 @@ def _certified_display(est: DensityEstimate) -> str:
     if lower != upper:
         name, param = est.truncation
         raise ValueError(
-            f"{est.kind}({est.degree}) is not certain to 4 decimals with "
+            f"{est.kind}({est.degree}) is not certain to {PLACES} decimals with "
             f"{name}={param}: its bracket rounds to {lower}..{upper}"
         )
     return lower
@@ -163,7 +163,7 @@ def error_term_profile(variant: str, d: int, heights: Sequence[int],
     count.  The residual and ratio are computed from the point value
     alone; the width of the constant's bracket is not carried into them,
     and it can exceed the residual (monic d = 2 with 1e4 primes: residual
-    1.08e4 at H = 1e5, main-term bracket 5.7e5 wide).  ROADMAP item 2
+    1.08e4 at H = 1e5, main-term bracket 5.7e5 wide).  ROADMAP item 1
     carries the residual as an interval instead.
     """
     if variant not in VARIANTS:

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from eisencount import arith
 from eisencount.arith import (SEGMENT, build_sieve, euler_phi, factorize,
-                              mobius, mobius_table, omega, phi_bounded, radical,
-                              tau, totient_table)
+                              mobius, mobius_table, omega, phi_bounded, tau,
+                              totient_table)
 from eisencount.errors import BudgetExceededError
 
 
@@ -31,7 +31,7 @@ def test_build_sieve_minimal_limit():
 
 
 def test_build_sieve_prime_count_at_million(big_sieve):
-    assert big_sieve.prime_count() == 78498
+    assert big_sieve.primes.size == 78498
 
 
 def test_build_sieve_rejects_bad_limits():
@@ -114,12 +114,9 @@ def test_nth_prime(big_sieve):
     with pytest.raises(ValueError):
         big_sieve.nth_prime(0)
     with pytest.raises(ValueError):
-        big_sieve.nth_prime(big_sieve.prime_count() + 1)
-    assert big_sieve.primes_upto(97)[-1] == 97
-    assert big_sieve.primes_upto(96)[-1] == 89
-    assert big_sieve.primes_upto(1).size == 0
+        big_sieve.nth_prime(big_sieve.primes.size + 1)
     with pytest.raises(ValueError):
-        big_sieve.primes_upto(97)[0] = 3
+        big_sieve.primes[:25][0] = 3
 
 
 def test_factorize_cases(sieve):
@@ -131,13 +128,13 @@ def test_factorize_cases(sieve):
 def test_factorize_roundtrip_exhaustive(sieve):
     for n in range(1, 2001):
         f = factorize(n, sieve)
-        assert f.value() == n
+        assert math.prod(p**e for p, e in f.pairs) == n
         primes = [p for p, _ in f.pairs]
         assert primes == sorted(set(primes))
 
 
 def test_range_checks(sieve):
-    for fn in (factorize, mobius, euler_phi, omega, radical, tau):
+    for fn in (factorize, mobius, euler_phi, omega, tau):
         with pytest.raises(ValueError):
             fn(0, sieve)
         with pytest.raises(ValueError):
@@ -161,9 +158,9 @@ def test_omega_and_radical_and_tau(sieve):
     assert omega(1, sieve) == 0
     assert omega(12, sieve) == 2
     assert omega(30, sieve) == 3
-    assert radical(1, sieve) == 1
-    assert radical(12, sieve) == 6
-    assert radical(8, sieve) == 2
+    # The radical, from the distinct primes of the factorization.
+    for n, rad in ((1, 1), (12, 6), (8, 2)):
+        assert math.prod(p for p, _e in factorize(n, sieve).pairs) == rad
     assert tau(1, sieve) == 1
     assert tau(12, sieve) == 6
     assert tau(97, sieve) == 2
@@ -248,7 +245,8 @@ def test_phi_bounded_always_even_for_s_at_least_2(s, H, sieve):
 @settings(max_examples=60)
 @given(n=st.integers(min_value=1, max_value=10**6))
 def test_factorize_roundtrip_random(n, big_sieve):
-    assert factorize(n, big_sieve).value() == n
+    f = factorize(n, big_sieve)
+    assert math.prod(p**e for p, e in f.pairs) == n
 
 
 def test_multiplicativity_on_coprime_pairs(big_sieve):
@@ -284,7 +282,7 @@ def test_tables_reject_limits_beyond_sieve(sieve):
 def _reference_mobius_table(limit, sieve):
     """One numpy slice per prime <= limit: the unsegmented builder."""
     mu = np.ones(limit + 1, dtype=np.int64)
-    for p in sieve.primes_upto(limit).tolist():
+    for p in sieve.primes[sieve.primes <= limit].tolist():
         mu[p:: p] *= -1
         pp = p * p
         if pp <= limit:
@@ -295,7 +293,7 @@ def _reference_mobius_table(limit, sieve):
 
 def _reference_totient_table(limit, sieve):
     phi = np.arange(limit + 1, dtype=np.int64)
-    for p in sieve.primes_upto(limit).tolist():
+    for p in sieve.primes[sieve.primes <= limit].tolist():
         phi[p:: p] -= phi[p:: p] // p
     phi[0] = 0
     return phi

@@ -188,11 +188,10 @@ def test_density_product_golden(runner, argv):
 
 
 @pytest.mark.parametrize("args, flag", [
-    (["--prime-count", "10", "--prime-limit", "10"], "--prime-limit"),
     (["--method", "series", "--prime-count", "5", "--series-limit", "1000"],
      "--prime-count"),
     (["--method", "product", "--series-limit", "1000"], "--series-limit"),
-], ids=["count-and-limit", "product-flag-with-series", "series-flag-with-product"])
+], ids=["product-flag-with-series", "series-flag-with-product"])
 def test_density_conflicting_truncations_exit_2(runner, args, flag):
     result = runner.invoke(cli.main, ["density", "--degree", "2",
                                       "--kind", "theta", *args])
@@ -226,11 +225,10 @@ def test_density_disjoint_brackets_exit_4(runner, monkeypatch):
 
 @pytest.mark.parametrize("args, flag", [
     (["-d", "100"], "--prime-count"),
-    (["-d", "100", "--prime-limit", "1000"], "--prime-limit"),
     (["-d", "2", "--method", "series", "--series-limit", "2"],
      "--series-limit"),
     (["-d", "2", "--method", "both", "--series-limit", "3"], "--series-limit"),
-], ids=["product-floor", "prime-limit", "series-tail", "both"])
+], ids=["product-floor", "series-tail", "both"])
 def test_density_refuses_a_bracket_that_reaches_0(runner, args, flag):
     # theta_100 ~ 3.9e-31 lies below 2^-96, and a series cut after s = 2 or
     # 3 leaves a tail wider than theta_2: either bracket starts at or below
@@ -506,8 +504,8 @@ ENV_VALUES = {
     ("count", "degree"): "5", ("count", "height"): "4",
     ("count", "variant"): "general", ("count", "method"): "both",
     ("density", "degree"): "4", ("density", "kind"): "rho",
-    ("density", "prime_count"): "7", ("density", "prime_limit"): "11",
-    ("density", "series_limit"): "13", ("density", "method"): "series",
+    ("density", "prime_count"): "7", ("density", "series_limit"): "13",
+    ("density", "method"): "series",
     ("table", "degrees"): "3..4", ("table", "prime_count"): "7",
     ("table", "fmt"): "json",
     ("verify", "max_degree"): "4", ("verify", "max_height"): "6",

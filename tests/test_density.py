@@ -26,26 +26,16 @@ from eisencount.density import (GUARD_BITS, KINDS, POWERS, DensityEstimate,
 
 
 def test_single_factor_products(big_sieve):
-    est = theta_product(2, big_sieve, prime_limit=2)
+    est = theta_product(2, big_sieve, prime_count=1)
     # only the p=2 factor: value is 1 - 7/8 up to rounding, and the tail
     # bound degenerates to the whole of [value, 1]
     assert abs(est.value - Fraction(1, 8)) < Fraction(1, 2**90)
     assert est.upper == 1
     assert est.lower <= Fraction(1, 8)
 
-    est = rho_product(2, big_sieve, prime_limit=2)
+    est = rho_product(2, big_sieve, prime_count=1)
     assert abs(est.value - Fraction(1, 16)) < Fraction(1, 2**90)
     assert est.upper == 1
-
-
-@pytest.mark.parametrize("fn", [theta_product, rho_product], ids=["theta", "rho"])
-def test_prime_count_equals_limit_at_the_nth_prime(big_sieve, fn):
-    for n in (1, 25, 1000):
-        for d in (2, 5):
-            by_count = fn(d, big_sieve, prime_count=n)
-            by_limit = fn(d, big_sieve, prime_limit=big_sieve.nth_prime(n))
-            assert ((by_count.value, by_count.lower, by_count.upper)
-                    == (by_limit.value, by_limit.lower, by_limit.upper))
 
 
 def _reference_products(kind, d, sieve, stops, precisions):
@@ -88,24 +78,22 @@ def _exact_product(kind, d, primes):
     return factors[0], math.prod(primes) ** (d + k)
 
 
-PRODUCT_COUNTS = (1, 2, 50, 10**4, 78_498)
+# p_168 = 997 is the last prime below the cut B = 1024 at 96 bits.
+PRODUCT_COUNTS = (1, 2, 50, 168, 10**4, 78_498)
 PRODUCT_BITS = (60, 96, 200)
-# The loop's last prime when prime_limit = 1000, and its prime count.
-LIMIT, LIMIT_COUNT = 1000, 168
 
 
 @pytest.fixture(scope="module")
 def product_reference(big_sieve):
-    """Per (kind, d): the reference loop at every PRODUCT_COUNTS entry and
-    at prime_limit 1000, and the exact product at every count up to 10^4."""
+    """Per (kind, d): the reference loop at every PRODUCT_COUNTS entry, and
+    the exact product at every count up to 10^4."""
     cache = {}
 
     def reference(kind, d):
         if (kind, d) not in cache:
             stops = {n: big_sieve.nth_prime(n) for n in PRODUCT_COUNTS}
-            stops[LIMIT_COUNT] = LIMIT
             exact = {n: _exact_product(kind, d, big_sieve.primes[:n].tolist())
-                     for n in (*PRODUCT_COUNTS[:4], LIMIT_COUNT)}
+                     for n in PRODUCT_COUNTS[:5]}
             cache[kind, d] = (_reference_products(kind, d, big_sieve, stops,
                                                   PRODUCT_BITS), exact)
         return cache[kind, d]
@@ -132,11 +120,8 @@ def test_product_early_exit_is_exact(big_sieve, product_reference, fn, bits):
     cut = 1 << -(-(bits + GUARD_BITS) // 14)
     for d in range(2, 13):
         reference, exact = product_reference(kind, d)
-        for n in (*PRODUCT_COUNTS, LIMIT_COUNT):
-            if n == LIMIT_COUNT:
-                est = fn(d, big_sieve, prime_limit=LIMIT, precision_bits=bits)
-            else:
-                est = fn(d, big_sieve, prime_count=n, precision_bits=bits)
+        for n in PRODUCT_COUNTS:
+            est = fn(d, big_sieve, prime_count=n, precision_bits=bits)
             want = reference[bits, n]
             if big_sieve.nth_prime(n) <= cut:
                 assert (est.value, est.lower, est.upper) == want, (d, n)
@@ -463,11 +448,7 @@ def test_validation_errors(big_sieve):
     with pytest.raises(ValueError):
         theta_product(1, big_sieve)
     with pytest.raises(ValueError):
-        theta_product(2, big_sieve, prime_count=100, prime_limit=100)
-    with pytest.raises(ValueError):
-        theta_product(2, big_sieve, prime_count=big_sieve.prime_count() + 1)
-    with pytest.raises(ValueError):
-        theta_product(2, big_sieve, prime_limit=1)
+        theta_product(2, big_sieve, prime_count=big_sieve.primes.size + 1)
     with pytest.raises(ValueError):
         theta_series(2, big_sieve, series_limit=big_sieve.limit + 1)
     with pytest.raises(ValueError):

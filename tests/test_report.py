@@ -21,9 +21,6 @@ def test_round_half_away_cases():
     assert round_half_away(Fraction(-25145, 100000)) == "-0.2515"
     assert round_half_away(Fraction(-4, 10**5)) == "0.0000"
     assert round_half_away(Fraction(10005, 10**4)) == "1.0005"
-    assert round_half_away(Fraction(7, 10), places=1) == "0.7"
-    with pytest.raises(ValueError):
-        round_half_away(Fraction(1, 2), places=0)
 
 
 def test_single_row_table(big_sieve):
