@@ -18,26 +18,6 @@ untruncated constant.  All arithmetic runs on integers scaled by
 every rounding step as well as the omitted tail; results are exposed as
 exact fractions.
 
-The series needs, for every square-free s, the floor of
-phi(s)^k * 2^P / s^(d+k) at P = precision_bits and whether it rounded.
-Since floor(floor(x/a)/b) = floor(x/(ab)), that is d+k successive long
-divisions by s, which run in uint64 numpy over a segment of terms at
-once.  The numerator streams by as base-2^32 limbs, most significant
-first (at most three non-zero, as phi^k < 2^54, then P//32 zero limbs),
-through d+k stages that each keep one remainder per term.  A stage
-computes rem * 2^32 + limb < s * 2^32 < 2^59, exact because
-s <= MAX_SIEVE_LIMIT < 2^27; the last stage's quotient limbs are summed
-column by column, each column below SEGMENT * 2^32 = 2^48, into a Python
-integer.  A term is inexact exactly when some stage leaves a non-zero
-remainder.  The extra memory is d+k remainder arrays of one segment,
-whatever P.  A stage with remainders all still 0 passes 0 limbs on, and
-takes a limb below s for every term as its remainder, passing 0 on: a
-term at d = 2 and 96 bits takes 8 divisions for theta and 12 for rho,
-not 12 and 20.  A term with bitlen(phi^k) + P <= (d+k) * (bitlen(s) - 1)
-skips the stages: it is below 1, so its quotient is 0 and it is inexact.
-At 96 bits that is no term at d = 2, 99.9% of the terms below 10^6 at
-d = 10 and every term from d = 97 on.
-
 The product multiplies its factors 1 - x_p, x_p = (p-1)^k / p^(d+k), one
 at a time only for the primes p <= B.  The cut B = 2^ceil(Q/14) depends
 on the working precision Q = P + GUARD_BITS alone: B = 1024 at the
@@ -52,20 +32,38 @@ where S(s) = sum over B < p <= N of p^(-s), since x_p^m = p^(-dm) (1 -
 1/p)^(km).  The sum stops at the least M whose remainder, at most
 B^(1-d(M+1)) / ((d(M+1)-1)(M+1)(1-B^(-d))) as x_p <= p^(-d), is under
 2^(-Q): M is 6 or 7 at d = 2 and 1 from d = 8 on.  Each S(s) is
-bracketed by floor sums at Q bits: floor(2^Q / p^s) for all these primes
-at once is floor(2^Q / p^(s-1)) divided by p, a long division over
-base-2^32 limbs in uint64 numpy as for the series.  Each floor is less
-than 1 below its term, so S(s) lies in [sum, sum + n] / 2^Q for n
-primes.  The floors are 0 from s = 14 on, since p^14 > B^14 >= 2^Q, so a
-prime leaves the pass once its quotient is 0, and so does each leading
-limb once it is 0 for every prime.  These roundings add
-n sum_m 2^(km) / m units of 2^(-Q) to the width of L, which the
-GUARD_BITS keep near one unit of 2^(-P) even for the 5.8 million primes
-below the sieve cap.  With L < 2/B < 1, the partial sums of exp(-L)'s
-alternating Taylor series fall on either side of it, which brackets
-exp(-L) in exact fractions; that bracket then multiplies the loop's two
-tracks with directed rounding.  The floor sums depend only on the primes
-and Q, so a table reuses one pass for all its constants.
+bracketed by floor sums at Q bits: each floor(2^Q / p^s) is less than 1
+below its term, so S(s) lies in [sum, sum + n] / 2^Q for n primes.
+These roundings add n sum_m 2^(km) / m units of 2^(-Q) to the width of
+L, which the GUARD_BITS keep near one unit of 2^(-P) even for the 5.8
+million primes below the sieve cap.  With L < 2/B < 1, the partial sums
+of exp(-L)'s alternating Taylor series fall on either side of it, which
+brackets exp(-L) in exact fractions; that bracket then multiplies the
+loop's two tracks with directed rounding.  The floor sums depend only on
+the primes and Q, so a table reuses one pass for all its constants.
+
+Both routes take their floors from one long division.  Since
+floor(floor(x/a)/b) = floor(x/(ab)), floor(numer * 2^P / s^e) comes from
+e successive divisions by s, in uint64 numpy over up to SEGMENT terms at
+once.  The numerator streams by as base-2^32 limbs, most significant
+first (at most three non-zero, as numer < 2^54, then P//32 zero limbs),
+through e stages that each keep one remainder per term.  A stage computes
+rem * 2^32 + limb < s * 2^32 < 2^59, exact because s <= MAX_SIEVE_LIMIT
+< 2^27, and stage j passes on the limbs of floor(numer * 2^P / s^j),
+summed column by column, each column below SEGMENT * 2^32 = 2^48, into
+a Python integer.  A term is inexact exactly when some stage leaves a
+non-zero remainder.  The extra memory is e remainder arrays of one
+segment, whatever P.  A stage with remainders all still 0 passes 0 limbs
+on, and takes a limb below s for every term as its remainder, passing 0
+on.  The series takes the last stage, numer = phi(s)^k and e = d+k: a
+term at d = 2 and 96 bits takes 8 divisions for theta and 12 for rho,
+not 12 and 20.  A term with bitlen(phi^k) + P <= (d+k) * (bitlen(s) - 1)
+is below 1, so it skips the stages: its quotient is 0 and it is inexact.
+At 96 bits that is no term at d = 2, 99.9% of the terms below 10^6 at
+d = 10 and every term from d = 97 on.  The product takes every stage,
+numer = 1 and P = Q, over pieces of at most SEGMENT primes of one bit
+length b: these primes are at least 2^(b-1), so their floors are 0 by
+stage Q // (b-1) + 1, and the pieces' stage sums add up to the S(s).
 """
 
 from __future__ import annotations
@@ -146,13 +144,52 @@ _LIMB = np.uint64(32)
 _LIMB_MASK = np.uint64(2**32 - 1)
 
 
+def _stage_sums(numer: np.ndarray, s: np.ndarray, expo: int,
+                precision_bits: int) -> tuple[list[int], int]:
+    """Sums of floor(numer * 2^precision_bits / s^j) for j = 1..expo.
+
+    Also returns the number of terms whose last division is inexact.
+    ``numer`` (1 <= numer < 2^54) and ``s`` (2 <= s < 2^27) are uint64
+    arrays of equal length; see the module docstring.
+    """
+    # numer * 2^(P mod 32) in three limbs; a shift wraps only masked bits.
+    shift = np.uint64(precision_bits % 32)
+    upper = numer >> (_LIMB - shift)
+    head = [upper >> _LIMB, upper & _LIMB_MASK, (numer << shift) & _LIMB_MASK]
+    rems = np.zeros((expo, s.size), np.uint64)
+    wide = np.empty_like(s)
+    quotient = np.empty_like(s)
+    # Stages start in order, each on the first non-zero limb it receives;
+    # digit is None while the limb is known to be 0.
+    started = 0
+    totals = [0] * expo
+    for i in range(len(head) + precision_bits // 32):
+        totals = [total << 32 for total in totals]
+        digit = head[i] if i < len(head) and head[i].any() else None
+        for j, rem in enumerate(rems):
+            if j == started:
+                if digit is None:
+                    break
+                started += 1
+                if (digit < s).all():
+                    rem[:] = digit
+                    break
+            np.left_shift(rem, _LIMB, out=wide)
+            if digit is not None:
+                wide += digit
+            digit = quotient
+            np.divmod(wide, s, out=(digit, rem))
+            totals[j] += int(digit.sum())
+    return totals, int(np.count_nonzero(rems.any(axis=0)))
+
+
 def _floor_sum(numer: np.ndarray, s: np.ndarray, expo: int,
                precision_bits: int) -> tuple[int, int]:
     """Sum of floor(numer * 2^precision_bits / s^expo) over the terms.
 
     Returns that sum and the number of terms whose division is inexact.
-    ``numer`` (below 2^64) and ``s`` (2 <= s < 2^27) are integer arrays
-    of equal length; see the module docstring for the long division.
+    ``numer`` (below 2^54) and ``s`` (2 <= s < 2^27) are integer arrays
+    of equal length, as for :func:`_stage_sums`.
     """
     numer = numer.astype(np.uint64)
     s = s.astype(np.uint64)
@@ -169,34 +206,8 @@ def _floor_sum(numer: np.ndarray, s: np.ndarray, expo: int,
         small = numer < np.left_shift(np.uint64(1), room)
         dropped = int(np.count_nonzero(small))
         numer, s = numer[~small], s[~small]
-    # numer * 2^(P mod 32) in three limbs; a shift wraps only masked bits.
-    shift = np.uint64(precision_bits % 32)
-    upper = numer >> (_LIMB - shift)
-    head = [upper >> _LIMB, upper & _LIMB_MASK, (numer << shift) & _LIMB_MASK]
-    rems = np.zeros((expo, s.size), np.uint64)
-    wide = np.empty_like(s)
-    quotient = np.empty_like(s)
-    # Stages start in order, each on the first non-zero limb it receives;
-    # digit is None while the limb is known to be 0.
-    started = total = 0
-    for i in range(len(head) + precision_bits // 32):
-        digit = head[i] if i < len(head) and head[i].any() else None
-        for j, rem in enumerate(rems):
-            if j == started:
-                if digit is None:
-                    break
-                started += 1
-                if (digit < s).all():
-                    rem[:] = digit
-                    digit = None
-                    break
-            np.left_shift(rem, _LIMB, out=wide)
-            if digit is not None:
-                wide += digit
-            digit = quotient
-            np.divmod(wide, s, out=(digit, rem))
-        total = (total << 32) + (0 if digit is None else int(digit.sum()))
-    return total, dropped + int(np.count_nonzero(rems.any(axis=0)))
+    totals, inexact = _stage_sums(numer, s, expo, precision_bits)
+    return totals[-1], dropped + inexact
 
 
 def _prime_power_sums(sieve: ArithSieve, first: int, stop: int,
@@ -214,31 +225,19 @@ def _prime_power_sums(sieve: ArithSieve, first: int, stop: int,
 @functools.lru_cache(maxsize=1)
 def _cached_power_sums(sieve: weakref.ref, first: int, stop: int,
                        bits: int) -> tuple[int, ...]:
-    p = sieve().primes[first:stop].astype(np.uint64)
-    # 2^bits in limbs, most significant first: 2^(bits mod 32), then zeros.
-    limbs = [np.full(p.size, 1 << bits % 32, np.uint64),
-             *(np.zeros(p.size, np.uint64) for _ in range(bits // 32))]
-    sums = [p.size << bits]
-    while p.size:
-        rem = np.zeros_like(p)
-        wide = np.empty_like(p)
-        total = 0
-        for limb in limbs:
-            # rem < p < 2^27, so rem * 2^32 + limb < 2^59.
-            np.left_shift(rem, _LIMB, out=wide)
-            wide += limb
-            np.divmod(wide, p, out=(limb, rem))
-            total = (total << 32) + int(limb.sum())
-        sums.append(total)
-        while limbs and not limbs[0].any():
-            del limbs[0]
-        # The quotient does not increase with p, so its zeros are a suffix.
-        live = np.zeros(p.size, bool)
-        for limb in limbs:
-            live |= limb != 0
-        n = int(np.count_nonzero(live))
-        p, limbs = p[:n], [limb[:n] for limb in limbs]
-    return tuple(sums)
+    primes = sieve().primes[first:stop]
+    top = int(primes[-1]).bit_length() if primes.size else 0
+    edges = np.searchsorted(primes, [1 << b for b in range(top + 1)]).tolist()
+    # Entry bits + 1 is 0, as every p^(bits+1) > 2^bits.
+    sums = [primes.size << bits] + [0] * (bits + 1)
+    for b in range(2, top + 1):
+        for at in range(edges[b - 1], edges[b], SEGMENT):
+            p = primes[at:min(at + SEGMENT, edges[b])].astype(np.uint64)
+            totals, _ = _stage_sums(np.ones_like(p), p, bits // (b - 1) + 1,
+                                    bits)
+            for s, total in enumerate(totals, start=1):
+                sums[s] += total
+    return tuple(sums[:sums.index(0) + 1])
 
 
 def _log_bracket(d: int, k: int, sums: tuple[int, ...], n: int, bits: int,

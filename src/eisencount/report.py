@@ -180,7 +180,7 @@ def error_term_profile(variant: str, d: int, heights: Sequence[int],
     constant = product(d, sieve, prime_count=prime_count,
                        precision_bits=precision_bits)
     if constant.lower <= 0 or constant.width >= constant.value:
-        raise not_separated(constant, precision_bits)
+        raise not_separated(constant, precision_bits, constant.truncation[0])
     count_fn = count_monic_eisenstein if monic else count_general_eisenstein
     power = d + VARIANTS[variant] - 1
     rows = []

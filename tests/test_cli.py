@@ -456,6 +456,19 @@ def test_error_term_refuses_a_constant_at_its_rounding_floor(runner,
     assert "--precision-bits" in result.stderr
 
 
+def test_error_term_names_the_prime_count_for_a_wide_bracket(runner):
+    # One prime leaves theta_2 in [1/8, 1], wider than its value: more
+    # precision cannot narrow that, more primes can.
+    result = runner.invoke(cli.main, ["error-term", "--variant", "monic",
+                                      "-d", "2", "--heights", "2",
+                                      "--prime-count", "1"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert ("theta(2) is not separated from 0 at 96 bits: its bracket is "
+            "[0.125, 1]" in result.stderr)
+    assert "or prime_count (--prime-count)" in result.stderr
+
+
 def test_error_term_at_higher_precision_keeps_the_main_term_certified(runner):
     result = runner.invoke(cli.main, ["--precision-bits", "400", "error-term",
                                       "--variant", "monic", "-d", "100",

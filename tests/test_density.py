@@ -20,9 +20,9 @@ from eisencount.arith import (MAX_SIEVE_LIMIT, SEGMENT, ArithSieve,
 from eisencount.density import (GUARD_BITS, KINDS, POWERS, DensityEstimate,
                                 _cached_power_sums, _exp_neg, _floor_sum,
                                 _log_bracket, _prime_power_sums,
-                                asymptotic_main, refined_asymptotic_theta,
-                                rho_product, rho_series, theta_product,
-                                theta_series)
+                                _stage_sums, asymptotic_main,
+                                refined_asymptotic_theta, rho_product,
+                                rho_series, theta_product, theta_series)
 
 
 def test_single_factor_products(big_sieve):
@@ -265,6 +265,10 @@ def test_limb_floor_sum_matches_python_division(terms, expo, bits):
     quotients = [divmod(n << bits, m ** expo) for m, n in terms]
     want = (sum(q for q, _ in quotients), sum(1 for _, r in quotients if r))
     assert _floor_sum(numer, s, expo, bits) == want
+    totals, _ = _stage_sums(numer.astype(np.uint64), s.astype(np.uint64),
+                            expo, bits)
+    assert totals == [sum((n << bits) // m ** j for m, n in terms)
+                      for j in range(1, expo + 1)]
 
 
 def _prime_at_most(n):
@@ -294,6 +298,31 @@ def test_prime_power_sums_match_python_division(primes, first, bits):
     for s in range(41):
         want = sum(2**bits // p**s for p in primes[first:])
         assert (sums[s] if s < len(sums) else 0) == want, s
+
+
+def _python_power_sums(primes, bits):
+    """_prime_power_sums by Python division, one prime at a time."""
+    want = [0] * (bits + 2)
+    for p in primes:
+        q, s = 1 << bits, 0
+        while q:
+            want[s] += q
+            q, s = q // p, s + 1
+    return tuple(want[:want.index(0) + 1])
+
+
+def test_prime_power_sums_over_many_pieces(big_sieve):
+    # The first 70,000 primes cross index SEGMENT and bit lengths 2 to 20.
+    # Above 2^20 the 73,586 primes of 21 bits split into two pieces.
+    bits = 96 + GUARD_BITS
+    _cached_power_sums.cache_clear()
+    assert (_prime_power_sums(big_sieve, 0, 70_000, bits)
+            == _python_power_sums(big_sieve.primes[:70_000].tolist(), bits))
+    sieve = build_sieve(1 << 21)
+    first = int(np.searchsorted(sieve.primes, 1 << 20))
+    assert sieve.primes.size - first > SEGMENT
+    assert (_prime_power_sums(sieve, first, sieve.primes.size, bits)
+            == _python_power_sums(sieve.primes[first:].tolist(), bits))
 
 
 def test_power_sums_cache_keeps_no_sieve_alive():
@@ -494,27 +523,43 @@ def test_higher_precision_narrows_or_matches_rounding(big_sieve):
     assert max(wide.lower, narrow.lower) <= min(wide.upper, narrow.upper)
 
 
-# Run in a child, whose memory holds only what the series needs.  The
-# child reads its own resident size now and at its peak (VmRSS, VmHWM):
-# ru_maxrss would carry over the test runner's size across exec, and
-# tracemalloc slows the 600,000-term loop about 30-fold.
-_SERIES_RSS_RISE = """
+# Run in a child, whose memory holds only what the series or product needs.
+# The child reads its own resident size after a warm-up call and then at
+# its peak (VmRSS, VmHWM): ru_maxrss would carry over the test runner's
+# size across exec, and tracemalloc slows the 600,000-term loop about
+# 30-fold.
+_RSS_RISE = """
 import sys
 from eisencount.arith import build_sieve
-from eisencount.density import theta_series
+from eisencount.density import theta_product, theta_series
 
 def kib(field):
     with open("/proc/self/status") as status:
         line = next(l for l in status if l.startswith(field + ":"))
     return int(line.split()[1])
 
-bits = int(sys.argv[1])
-sieve = build_sieve(10**6)
-theta_series(2, sieve, series_limit=2, precision_bits=bits)
+limit, bits = map(int, sys.argv[2:])
+sieve = build_sieve(limit)
+if sys.argv[1] == "series":
+    evaluate, size, small, full = theta_series, "series_limit", 2, limit
+else:
+    evaluate, size = theta_product, "prime_count"
+    small, full = 200, len(sieve.primes)
+evaluate(2, sieve, **{size: small}, precision_bits=bits)
 before = kib("VmRSS")
-theta_series(2, sieve, series_limit=10**6, precision_bits=bits)
+evaluate(2, sieve, **{size: full}, precision_bits=bits)
 print(kib("VmHWM") - before)
 """
+
+
+def _rss_rise(route, limit, bits):
+    """Bytes the peak resident size rises by in a child; see _RSS_RISE."""
+    src = str(Path(eisencount.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", _RSS_RISE, route, str(limit),
+                          str(bits)], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    return int(out) * 1024
 
 
 @pytest.mark.parametrize("bits", [96, 4096])
@@ -524,9 +569,11 @@ def test_series_peak_memory_stays_near_its_tables(bits):
     # At 4096 bits, 128 zero limbs follow the numerator's: they stream
     # through the remainders, where a limbs x terms matrix of one segment
     # would take 131 * 8 bytes for each of its ~40,000 terms.
-    src = str(Path(eisencount.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", _SERIES_RSS_RISE, str(bits)],
-                         env=env, capture_output=True, text=True,
-                         check=True).stdout
-    assert int(out) * 1024 <= 3 * 8 * 10**6
+    assert _rss_rise("series", 10**6, bits) <= 3 * 8 * 10**6
+
+
+def test_power_sum_pass_peak_memory_stays_within_pieces():
+    # All 664,579 primes below 10^7: the pass holds the stages of one piece
+    # of at most SEGMENT primes at a time.  Limbs of every prime at once
+    # raised the peak by 45.6 MiB.
+    assert _rss_rise("product", 10**7, 96) <= 24 * 10**6
