@@ -7,7 +7,10 @@ provides :func:`phi_bounded`, the exact count of integers in a symmetric
 interval coprime to a modulus, which is the basic building block of the
 polynomial counting formulas, plus bulk table versions of mu and phi for
 callers that sweep a contiguous range, each value taken from the one at
-n / spf(n) in O(SEGMENT) memory beyond the result.
+n / spf(n) in O(SEGMENT) memory beyond the result.  The tables are as
+narrow as their values: int8 for mu and int32 for phi (phi(n) < n <=
+MAX_SIEVE_LIMIT < 2^31), 5 bytes per entry, so callers widen them before
+they multiply.
 """
 
 from __future__ import annotations
@@ -195,8 +198,8 @@ def phi_bounded(s: int, H: int, sieve: ArithSieve) -> int:
     return sum(sign * (2 * (H // t) + 1) for t, sign in signed_divisors)
 
 
-def _table(limit: int, sieve: ArithSieve, factor) -> np.ndarray:
-    """Vector of f(n) for 0 <= n <= limit, with f(0) = 0 and f(1) = 1.
+def _table(limit: int, sieve: ArithSieve, dtype, factor) -> np.ndarray:
+    """Vector of f(n) for 0 <= n <= limit in ``dtype``, f(0) = 0, f(1) = 1.
 
     For n >= 2 with p = spf(n) and m = n / p, f(n) = f(m) * factor(p, r),
     where r tells whether p divides m too.  One gather fills each piece
@@ -206,7 +209,7 @@ def _table(limit: int, sieve: ArithSieve, factor) -> np.ndarray:
     if not 0 <= limit <= sieve.limit:
         raise ValueError(f"table limit {limit} outside 0..{sieve.limit}")
     spf = sieve.spf
-    f = np.zeros(limit + 1, dtype=np.int64)
+    f = np.zeros(limit + 1, dtype=dtype)
     f[1:2] = 1
     lo = 2
     while lo <= limit:
@@ -219,19 +222,22 @@ def _table(limit: int, sieve: ArithSieve, factor) -> np.ndarray:
 
 
 def mobius_table(limit: int, sieve: ArithSieve) -> np.ndarray:
-    """Vector of mu(n) for 0 <= n <= limit; mu[0] is set to 0.
+    """Vector of mu(n) for 0 <= n <= limit, as int8; mu[0] is set to 0.
 
     Bulk variant of :func:`mobius` for callers that need every value in
     a range: mu(p * m) is 0 when p = spf(p * m) divides m and -mu(m)
-    otherwise, filled by :func:`_table`.
+    otherwise, filled by :func:`_table`.  int8 wraps silently, so widen
+    the table before multiplying it by anything larger than mu.
     """
-    return _table(limit, sieve, lambda p, repeated: repeated - 1)
+    return _table(limit, sieve, np.int8, lambda p, repeated: repeated - 1)
 
 
 def totient_table(limit: int, sieve: ArithSieve) -> np.ndarray:
-    """Vector of phi(n) for 0 <= n <= limit; phi[0] is set to 0.
+    """Vector of phi(n) for 0 <= n <= limit, as int32; phi[0] is set to 0.
 
     phi(p * m) is phi(m) * p when p = spf(p * m) divides m and
-    phi(m) * (p - 1) otherwise, filled by :func:`_table`.
+    phi(m) * (p - 1) otherwise, filled by :func:`_table`.  Widen the
+    values before raising them to a power or multiplying them.
     """
-    return _table(limit, sieve, lambda p, repeated: p - 1 + repeated)
+    return _table(limit, sieve, np.int32,
+                  lambda p, repeated: p - 1 + repeated)

@@ -124,7 +124,9 @@ def _inclusion_exclusion(variant: str, d: int, H: int,
     # Tail, s > r: q = H // s <= r is shared by runs of consecutive s, so
     # only one big-integer power (2q+1)^(d-1) is needed per run.
     if general:
-        lead = mu.copy()  # lead[t] = mu(t) * (H // t), filled a window at a time
+        # lead[t] = mu(t) * (H // t), filled a window at a time; int64, as
+        # mu is int8 and an in-place product would wrap.
+        lead = mu.astype(np.int64)
         for lo in range(1, H + 1, WINDOW):
             lead[lo:lo + WINDOW] *= H // np.arange(lo, min(lo + WINDOW, H + 1))
     tail = 0

@@ -191,7 +191,7 @@ def _floor_sum(numer: np.ndarray, s: np.ndarray, expo: int,
     ``numer`` (below 2^54) and ``s`` (2 <= s < 2^27) are integer arrays
     of equal length, as for :func:`_stage_sums`.
     """
-    numer = numer.astype(np.uint64)
+    numer = numer.astype(np.uint64, copy=False)
     s = s.astype(np.uint64)
     # A term with numer < 2^room, room = expo * (bitlen(s) - 1) - P, is
     # below 2^(room+P) <= s^expo: its quotient is 0 and, as numer >= 1, it
@@ -375,10 +375,12 @@ def _series_estimate(kind: str, d: int, sieve: ArithSieve, series_limit: int,
         signs = mu[start:start + SEGMENT]
         # Where mu(s) = sign the terms -mu(s) phi(s)^k / s^(d+k) add -sign
         # times a sum in [q, q + inexact]; lo takes its low end, hi its high.
-        # int64 is exact: phi(s) < s <= MAX_SIEVE_LIMIT = 1e8, so phi(s)^2 < 2^63.
+        # Widened from int32 to uint64, phi(s)^k is exact: phi(s) < s <=
+        # MAX_SIEVE_LIMIT = 1e8, so phi(s)^2 < 2^54.
         for sign in (-1, 1):
             s = np.flatnonzero(signs == sign) + start
-            q, inexact = _floor_sum(phi[s] ** k, s, expo, precision_bits)
+            numer = phi[s].astype(np.uint64) ** k
+            q, inexact = _floor_sum(numer, s, expo, precision_bits)
             lo -= sign * q + (sign > 0) * inexact
             hi -= sign * q - (sign < 0) * inexact
 
