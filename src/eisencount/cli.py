@@ -20,7 +20,8 @@ import click
 
 from . import report
 from .arith import DEFAULT_SIEVE_LIMIT, build_sieve
-from .counting import count_general_eisenstein, count_monic_eisenstein
+from .counting import (count_general_eisenstein, count_monic_eisenstein,
+                       sieve_limit)
 from .density import (DEFAULT_PRECISION_BITS, DEFAULT_PRIME_COUNT,
                       DEFAULT_SERIES_LIMIT, KINDS, MIN_PRECISION_BITS,
                       rho_product, rho_series, theta_product, theta_series)
@@ -176,7 +177,7 @@ def cmd_count(cfg: CliConfig, degree, height, variant, method):
     exact = brute = None
     fast_fn, brute_fn = _counters(variant)
     if method in ("exact", "both"):
-        sieve = _sieve_for(cfg, height)
+        sieve = _sieve_for(cfg, sieve_limit(variant, height))
         exact = fast_fn(degree, height, sieve).value
     if method in ("brute", "both"):
         brute = brute_fn(degree, height, budget=cfg.enumeration_budget).value
@@ -323,7 +324,8 @@ def cmd_verify(cfg: CliConfig, max_degree, max_height):
 @_guarded
 def cmd_error_term(cfg: CliConfig, variant, degree, heights, prime_count, fmt):
     """Profile exact counts against main terms along a height ladder."""
-    needed = max(max(heights), _nth_prime_bound(prime_count))
+    needed = max(_nth_prime_bound(prime_count),
+                 *(sieve_limit(variant, h) for h in heights))
     sieve = _sieve_for(cfg, needed)
     rows = report.error_term_profile(variant, degree, heights, sieve,
                                      prime_count=prime_count,

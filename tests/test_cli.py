@@ -7,7 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from eisencount import arith, cli, report
-from eisencount.counting import ExactCount
+from eisencount.counting import MAX_MONIC_HEIGHT, ExactCount, sieve_limit
 from eisencount.density import DensityEstimate, theta_product
 
 
@@ -73,20 +73,65 @@ def test_flag_beats_environment(runner):
     assert result.output.strip() == "6"
 
 
-def test_sieve_limit_env_refuses_large_heights(runner):
-    result = runner.invoke(cli.main, ["count", "--degree", "2", "--height", "200",
-                                      "--variant", "monic"],
-                           env={"EISEN_SIEVE_LIMIT": "100"})
+def _forbid(monkeypatch, *names):
+    """Make each named step of the CLI fail the test if it runs."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started before the refusal")
+    for name in names:
+        monkeypatch.setattr(cli, name, forbidden)
+
+
+def test_sieve_limit_env_refuses_large_heights(runner, monkeypatch):
+    # A monic count sieves only to its cut, about H^(2/3): 10^4 at 10^6.
+    # build_sieve refuses before it allocates (test_arith).
+    _forbid(monkeypatch, "count_monic_eisenstein")
+    result = runner.invoke(cli.main, ["count", "--degree", "2", "--height",
+                                      str(10**6), "--variant", "monic"],
+                           env={"EISEN_SIEVE_LIMIT": "9999"})
     assert result.exit_code == 3
+    assert "refused" in result.output
 
 
 def test_sieve_limit_flag_cannot_raise_the_hard_cap(runner, monkeypatch):
     monkeypatch.setattr(arith, "MAX_SIEVE_LIMIT", 1000)
+    _forbid(monkeypatch, "count_monic_eisenstein")
+    # The cut at 10^5 is 2173, over the patched cap of 1000.
     result = runner.invoke(cli.main, ["--sieve-limit", str(10**10), "count",
-                                      "--degree", "2", "--height", "1001",
+                                      "--degree", "2", "--height", str(10**5),
                                       "--variant", "monic"])
     assert result.exit_code == 3
     assert "refused" in result.output
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "-d", "3", "-H", str(MAX_MONIC_HEIGHT + 1), "--variant", "monic"],
+    ["error-term", "--variant", "monic", "-d", "3",
+     "--heights", f"1000,{MAX_MONIC_HEIGHT + 1}"],
+], ids=["count", "error-term"])
+def test_monic_height_cap_is_refused_before_any_work(runner, monkeypatch,
+                                                     argv):
+    _forbid(monkeypatch, "build_sieve", "count_monic_eisenstein")
+    result = runner.invoke(cli.main, ["--sieve-limit", str(10**8), *argv])
+    assert result.exit_code == 3
+    assert f"cap {MAX_MONIC_HEIGHT}" in result.output
+
+
+@pytest.mark.parametrize("variant, H", [("monic", 10**6), ("general", 1000)])
+def test_count_sizes_the_sieve_to_what_the_count_needs(runner, monkeypatch,
+                                                       variant, H):
+    limits = []
+    build = cli.build_sieve
+
+    def recorded(limit, **kwargs):
+        limits.append(limit)
+        return build(limit, **kwargs)
+
+    monkeypatch.setattr(cli, "build_sieve", recorded)
+    result = runner.invoke(cli.main, ["count", "-d", "3", "-H", str(H),
+                                      "--variant", variant])
+    assert result.exit_code == 0
+    assert limits == [sieve_limit(variant, H)]
+    assert limits[0] == (10**4 if variant == "monic" else H)
 
 
 def test_count_broken_invariant_exits_4(runner, monkeypatch):

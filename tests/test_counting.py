@@ -3,17 +3,22 @@
 import itertools
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eisencount import counting
-from eisencount.arith import (MAX_SIEVE_LIMIT, euler_phi, mobius, mobius_table,
-                              omega, phi_bounded)
-from eisencount.counting import (WINDOW, ExactCount, block_sum_bound,
-                                 count_general_eisenstein, count_general_s,
-                                 count_monic_eisenstein, count_monic_s)
+from eisencount.arith import (MAX_SIEVE_LIMIT, build_sieve, euler_phi, mobius,
+                              mobius_table, omega, phi_bounded)
+from eisencount.counting import (MAX_MONIC_HEIGHT, WINDOW, ExactCount,
+                                 block_sum_bound, count_general_eisenstein,
+                                 count_general_s, count_monic_eisenstein,
+                                 count_monic_s, monic_sum_bound, sieve_limit)
+from eisencount.errors import BudgetExceededError
+
+GOLDENS = Path(__file__).with_name("goldens")
 
 
 def test_count_monic_s_examples(sieve):
@@ -120,6 +125,8 @@ def test_window_sums_fit_in_int64():
 
 @pytest.mark.parametrize("variant", sorted(COUNTERS))
 def test_per_modulus_calls_stop_at_square_root(variant, big_sieve, monkeypatch):
+    # The general head calls count_general_s once per square-free s <= isqrt(H);
+    # the monic sum never visits a modulus on its own.
     fast, per_s = COUNTERS[variant]
     calls = []
 
@@ -130,7 +137,82 @@ def test_per_modulus_calls_stop_at_square_root(variant, big_sieve, monkeypatch):
     monkeypatch.setattr(counting, per_s.__name__, counted)
     H = 10**5
     fast(3, H, big_sieve)
-    assert 0 < len(calls) <= math.isqrt(H)
+    if variant == "monic":
+        assert calls == []
+    else:
+        assert 0 < len(calls) <= math.isqrt(H)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(min_value=2, max_value=6),
+       H=st.integers(min_value=1, max_value=2000),
+       data=st.data())
+def test_monic_sum_matches_per_modulus_reference_at_every_split(d, H, data,
+                                                                sieve):
+    # Below DIRECT_HEIGHT the count sums every modulus directly (A = 1); a
+    # larger A puts the values H // s < A through the Mertens sum.
+    A = data.draw(st.integers(min_value=1, max_value=math.isqrt(H)), label="A")
+    assert counting._monic_sum(d, H, A, sieve) == \
+        _reference_count("monic", d, H, sieve)
+
+
+# count_monic_eisenstein(d, 10**8) for d = 2..5 as the windowed counter gave
+# it (one closed form per modulus up to 10^4, numpy windows above), before
+# monic counts moved to the Mertens sum; with build_sieve(10**8), each took
+# about 7.5 s and 554 MB.
+WINDOWED_AT_1E8 = {
+    2: 10058589661211040,
+    3: 762328599071196400552792,
+    4: 65458155086631500000948333252352,
+    5: 5963599876881360785195392836119765305624,
+}
+
+
+def test_monic_sum_matches_the_windowed_counter_at_1e8():
+    H = 10**8
+    sieve = build_sieve(sieve_limit("monic", H))
+    for d, value in WINDOWED_AT_1E8.items():
+        assert count_monic_eisenstein(d, H, sieve).value == value, d
+
+
+@pytest.mark.parametrize("n, value", [(7, 1037), (8, 1928), (9, -222)])
+def test_mertens_anchors(n, value):
+    # M(10^n), OEIS A084237.  The table's entry L + 1 + k is M(H // k).
+    H = 10**n
+    A = round(H ** (1 / 3))
+    L = H // A
+    table = counting._mertens(H, A, mobius_table(L, build_sieve(L)))
+    assert table[L + 2] == value
+
+
+def test_two_cuts_agree_at_1e9():
+    # The golden is the count at the default cut H // 1000; the cut
+    # H // 500 sums twice as many moduli directly and must agree.
+    H = 10**9
+    golden = int((GOLDENS / f"count_monic_3_{H}.txt").read_text())
+    sieve = build_sieve(H // 500)
+    assert count_monic_eisenstein(3, H, sieve).value == golden
+    assert counting._monic_sum(3, H, 500, sieve) == golden
+
+
+def test_monic_sums_fit_in_int64():
+    # Raising MAX_MONIC_HEIGHT past this would wrap silently.
+    assert monic_sum_bound(MAX_MONIC_HEIGHT) < 2**63
+
+
+def test_sieve_limit():
+    direct = counting.DIRECT_HEIGHT
+    for H in (1, 2, 7, 1000, direct - 1, direct):
+        assert sieve_limit("general", H) == max(H, 2)
+        assert 2 <= sieve_limit("monic", H) <= max(H, 2)
+    assert sieve_limit("monic", direct - 1) == direct - 1
+    assert sieve_limit("monic", 10**6) == 10**4
+    assert sieve_limit("monic", MAX_MONIC_HEIGHT) == 4642525
+    with pytest.raises(BudgetExceededError):
+        sieve_limit("monic", MAX_MONIC_HEIGHT + 1)
+    for variant, H in (("cubic", 5), ("monic", 0)):
+        with pytest.raises(ValueError):
+            sieve_limit(variant, H)
 
 
 def test_metadata_fields(sieve):
@@ -146,6 +228,8 @@ def test_argument_validation(sieve):
         count_monic_eisenstein(2, 0, sieve)
     with pytest.raises(ValueError):
         count_monic_eisenstein(2, sieve.limit + 1, sieve)
+    with pytest.raises(BudgetExceededError):
+        count_monic_eisenstein(2, MAX_MONIC_HEIGHT + 1, sieve)
     with pytest.raises(ValueError):
         count_monic_s(2, 0, 5, sieve)
     with pytest.raises(ValueError):
