@@ -9,8 +9,9 @@ polynomial counting formulas, plus bulk table versions of mu and phi for
 callers that sweep a contiguous range, each value taken from the one at
 n / spf(n) in O(SEGMENT) memory beyond the result.  The tables are as
 narrow as their values: int8 for mu and int32 for phi (phi(n) < n <=
-MAX_SIEVE_LIMIT < 2^31), 5 bytes per entry, so callers widen them before
-they multiply.
+2 * MAX_SIEVE_LIMIT + 1 < 2^31), 5 bytes per entry, so callers widen them
+before they multiply.  :func:`table_pieces` streams both up to twice a
+table's limit, from the tables and the same recurrence.
 """
 
 from __future__ import annotations
@@ -97,20 +98,38 @@ def build_sieve(limit: int = DEFAULT_SIEVE_LIMIT, *,
             f"sieve limit {limit} exceeds the memory budget {budget}"
         )
     spf = np.zeros(limit + 1, dtype=np.int32)
-    # The primes up to the square root each mark their multiples from p*p
-    # on, largest first, so the smallest prime factor writes last.
     root = math.isqrt(limit)
     small = np.arange(root + 1) >= 2
     for p in range(2, math.isqrt(root) + 1):
         small[p * p:: p] = False
-    for p in np.flatnonzero(small)[::-1].tolist():
-        spf[p * p:: p] = p
+    _mark(spf, 0, np.flatnonzero(small).tolist())
     # Everything still unmarked above 1 is prime.
     primes = np.flatnonzero(spf[2:] == 0) + 2
     spf[primes] = primes
     spf.flags.writeable = False
     primes.flags.writeable = False
     return ArithSieve(limit=limit, spf=spf, primes=primes)
+
+
+def _mark(spf: np.ndarray, lo: int, primes: list[int]) -> None:
+    """Set spf[n - lo] to spf(n) for the composites n of lo..lo+spf.size-1.
+
+    Each of the ascending ``primes``, which must hold every prime up to
+    the square root of the piece's end, marks its multiples from the
+    larger of p*p and its first multiple >= lo, largest first, so the
+    smallest prime factor writes last.  Entries of primes stay as they were.
+    """
+    for p in reversed(primes):
+        spf[max(p * p, -(-lo // p) * p) - lo:: p] = p
+
+
+def _spf_piece(lo: int, hi: int, primes: list[int]) -> np.ndarray:
+    """spf(n) for 2 <= lo <= n < hi, as int32, marked by :func:`_mark`."""
+    spf = np.zeros(hi - lo, dtype=np.int32)
+    _mark(spf, lo, primes)
+    unmarked = np.flatnonzero(spf == 0)
+    spf[unmarked] = unmarked + lo
+    return spf
 
 
 @dataclass(frozen=True)
@@ -198,13 +217,34 @@ def phi_bounded(s: int, H: int, sieve: ArithSieve) -> int:
     return sum(sign * (2 * (H // t) + 1) for t, sign in signed_divisors)
 
 
+def _mu_factor(p, repeated):
+    return repeated - np.int8(1)
+
+
+def _phi_factor(p, repeated):
+    return p - 1 + repeated
+
+
+def _piece(lo: int, p: np.ndarray, spf: np.ndarray, tables, out) -> None:
+    """Fill out[j][i] = f(m) * factor(p, r) for (f, factor) = tables[j].
+
+    Here n = lo + i, p = p[i] = spf(n), m = n / p, and r tells whether p
+    divides m too, read as spf(m) = p from ``spf``, which like each f
+    must cover every m.
+    """
+    m = np.arange(lo, lo + p.size, dtype=np.int32) // p
+    repeated = spf[m] == p
+    for (f, factor), o in zip(tables, out):
+        np.multiply(f[m], factor(p, repeated), out=o)
+
+
 def _table(limit: int, sieve: ArithSieve, dtype, factor) -> np.ndarray:
     """Vector of f(n) for 0 <= n <= limit in ``dtype``, f(0) = 0, f(1) = 1.
 
-    For n >= 2 with p = spf(n) and m = n / p, f(n) = f(m) * factor(p, r),
-    where r tells whether p divides m too.  One gather fills each piece
-    [lo, hi): hi <= 2 * lo puts every m < hi / 2 <= lo in an earlier one,
-    and hi <= lo + SEGMENT bounds the extra memory, whatever the limit.
+    For n >= 2, f(n) comes from f(m), m = n / spf(n), by :func:`_piece`.
+    One gather fills each piece [lo, hi): hi <= 2 * lo puts every
+    m < hi / 2 <= lo in an earlier one, and hi <= lo + SEGMENT bounds the
+    extra memory, whatever the limit.
     """
     if not 0 <= limit <= sieve.limit:
         raise ValueError(f"table limit {limit} outside 0..{sieve.limit}")
@@ -214,9 +254,7 @@ def _table(limit: int, sieve: ArithSieve, dtype, factor) -> np.ndarray:
     lo = 2
     while lo <= limit:
         hi = min(2 * lo, lo + SEGMENT, limit + 1)
-        p = spf[lo:hi]
-        m = np.arange(lo, hi, dtype=np.int32) // p
-        np.multiply(f[m], factor(p, spf[m] == p), out=f[lo:hi])
+        _piece(lo, spf[lo:hi], spf, [(f, factor)], [f[lo:hi]])
         lo = hi
     return f
 
@@ -229,7 +267,7 @@ def mobius_table(limit: int, sieve: ArithSieve) -> np.ndarray:
     otherwise, filled by :func:`_table`.  int8 wraps silently, so widen
     the table before multiplying it by anything larger than mu.
     """
-    return _table(limit, sieve, np.int8, lambda p, repeated: repeated - 1)
+    return _table(limit, sieve, np.int8, _mu_factor)
 
 
 def totient_table(limit: int, sieve: ArithSieve) -> np.ndarray:
@@ -239,5 +277,31 @@ def totient_table(limit: int, sieve: ArithSieve) -> np.ndarray:
     phi(m) * (p - 1) otherwise, filled by :func:`_table`.  Widen the
     values before raising them to a power or multiplying them.
     """
-    return _table(limit, sieve, np.int32,
-                  lambda p, repeated: p - 1 + repeated)
+    return _table(limit, sieve, np.int32, _phi_factor)
+
+
+def table_pieces(limit: int, sieve: ArithSieve, mu: np.ndarray,
+                 phi: np.ndarray) -> Iterator[tuple[int, np.ndarray,
+                                                    np.ndarray]]:
+    """Yield (lo, mu(lo..hi-1), phi(lo..hi-1)) over pieces covering 2..limit.
+
+    ``mu`` and ``phi`` are :func:`mobius_table` and :func:`totient_table`
+    to at least half = limit // 2.  The pieces, in ascending order and of
+    at most SEGMENT entries, are views into them up to half.  Above it
+    each piece is computed and dropped: n > half has m = n / spf(n)
+    <= n / 2 <= half, so :func:`_piece` reads f(m) from the tables, with
+    spf(n) from :func:`_mark` over the primes up to isqrt(limit).
+    """
+    half = limit // 2
+    for lo in range(2, half + 1, SEGMENT):
+        hi = min(lo + SEGMENT, half + 1)
+        yield lo, mu[lo:hi], phi[lo:hi]
+    primes = sieve.primes
+    primes = primes[:int(np.searchsorted(primes, math.isqrt(limit),
+                                         side="right"))].tolist()
+    tables = ((mu, _mu_factor), (phi, _phi_factor))
+    for lo in range(max(half + 1, 2), limit + 1, SEGMENT):
+        hi = min(lo + SEGMENT, limit + 1)
+        out = np.empty(hi - lo, mu.dtype), np.empty(hi - lo, phi.dtype)
+        _piece(lo, _spf_piece(lo, hi, primes), sieve.spf, tables, out)
+        yield lo, *out

@@ -210,14 +210,15 @@ def cmd_density(cfg: CliConfig, degree, kind, prime_count, series_limit,
                               ("--series-limit", series_limit, series)):
         if value is not None and not used:
             raise click.UsageError(f"{flag} does not apply to --method {method}")
-    # One sieve sized for every route, so a refusal comes before any work.
+    # One sieve sized for every route, so a refusal comes before any work:
+    # the product reads its primes, the series the sieve only to S // 2.
     sizes = []
     if product:
         prime_count = prime_count or DEFAULT_PRIME_COUNT
         sizes.append(_nth_prime_bound(prime_count))
     if series:
         series_limit = series_limit or DEFAULT_SERIES_LIMIT
-        sizes.append(series_limit)
+        sizes.append(series_limit // 2)
     sieve = _sieve_for(cfg, max(sizes))
     estimates = []
     if product:

@@ -46,13 +46,13 @@ Both routes take their floors from one long division.  Since
 floor(floor(x/a)/b) = floor(x/(ab)), floor(numer * 2^P / s^e) comes from
 e successive divisions by s, in uint64 numpy over up to SEGMENT terms at
 once.  The numerator streams by as base-2^32 limbs, most significant
-first (at most three non-zero, as numer < 2^54, then P//32 zero limbs),
+first (at most three non-zero, as numer < 2^56, then P//32 zero limbs),
 through e stages that each keep one remainder per term.  A stage computes
-rem * 2^32 + limb < s * 2^32 < 2^59, exact because s <= MAX_SIEVE_LIMIT
-< 2^27, and stage j passes on the limbs of floor(numer * 2^P / s^j),
-summed column by column, each column below SEGMENT * 2^32 = 2^48, into
-a Python integer.  A term is inexact exactly when some stage leaves a
-non-zero remainder.  The extra memory is e remainder arrays of one
+rem * 2^32 + limb < s * 2^32 < 2^60, exact because s <= 2 *
+MAX_SIEVE_LIMIT + 1 < 2^28 (the series' bound; see below), and stage j
+passes on the limbs of floor(numer * 2^P / s^j), summed column by
+column, each column below SEGMENT * 2^32 = 2^48, into a Python integer.
+A term is inexact exactly when some stage leaves a non-zero remainder.  The extra memory is e remainder arrays of one
 segment, whatever P.  A stage with remainders all still 0 passes 0 limbs
 on, and takes a limb below s for every term as its remainder, passing 0
 on.  The series takes the last stage, numer = phi(s)^k and e = d+k: a
@@ -64,6 +64,14 @@ d = 10 and every term from d = 97 on.  The product takes every stage,
 numer = 1 and P = Q, over pieces of at most SEGMENT primes of one bit
 length b: these primes are at least 2^(b-1), so their floors are 0 by
 stage Q // (b-1) + 1, and the pieces' stage sums add up to the S(s).
+
+The series stores mu and phi only up to S // 2, and reads the sieve only
+that far.  A modulus s in (S/2, S] with p = spf(s) has m = s / p <= s / 2
+<= S / 2, and mu(s) and phi(s) follow from mu(m) and phi(m) by the
+tables' own recurrence.  So the moduli above S // 2 come in pieces of at
+most SEGMENT, each with its spf from marking the primes up to isqrt(S),
+filled, summed and dropped (:func:`arith.table_pieces`).  The tables take
+5 (S // 2 + 1) bytes, and a sieve with limit L serves every S <= 2L + 1.
 """
 
 from __future__ import annotations
@@ -76,7 +84,8 @@ from math import comb
 
 import numpy as np
 
-from .arith import SEGMENT, ArithSieve, mobius_table, totient_table
+from .arith import (SEGMENT, ArithSieve, mobius_table, table_pieces,
+                    totient_table)
 from .errors import InvariantError, check_degree
 
 # k = POWERS[kind] counts the coefficients that must be units mod p: a_0/p,
@@ -149,7 +158,7 @@ def _stage_sums(numer: np.ndarray, s: np.ndarray, expo: int,
     """Sums of floor(numer * 2^precision_bits / s^j) for j = 1..expo.
 
     Also returns the number of terms whose last division is inexact.
-    ``numer`` (1 <= numer < 2^54) and ``s`` (2 <= s < 2^27) are uint64
+    ``numer`` (1 <= numer < 2^56) and ``s`` (2 <= s < 2^28) are uint64
     arrays of equal length; see the module docstring.
     """
     # numer * 2^(P mod 32) in three limbs; a shift wraps only masked bits.
@@ -188,7 +197,7 @@ def _floor_sum(numer: np.ndarray, s: np.ndarray, expo: int,
     """Sum of floor(numer * 2^precision_bits / s^expo) over the terms.
 
     Returns that sum and the number of terms whose division is inexact.
-    ``numer`` (below 2^54) and ``s`` (2 <= s < 2^27) are integer arrays
+    ``numer`` (below 2^56) and ``s`` (2 <= s < 2^28) are integer arrays
     of equal length, as for :func:`_stage_sums`.
     """
     numer = numer.astype(np.uint64, copy=False)
@@ -197,8 +206,8 @@ def _floor_sum(numer: np.ndarray, s: np.ndarray, expo: int,
     # below 2^(room+P) <= s^expo: its quotient is 0 and, as numer >= 1, it
     # is inexact, so it skips the stages.  No term can when the largest s
     # leaves room < 1, as at d = 2.  frexp gives bitlen(s) exactly, as
-    # s < 2^27 is exact in float64; clipping room to 0..63 changes no
-    # comparison, as 1 <= numer < 2^54.
+    # s < 2^28 is exact in float64; clipping room to 0..63 changes no
+    # comparison, as 1 <= numer < 2^56.
     dropped = 0
     if s.size and expo * (int(s.max()).bit_length() - 1) > precision_bits:
         room = expo * (np.frexp(s.astype(np.float64))[1].astype(np.int64) - 1)
@@ -361,26 +370,27 @@ def _series_estimate(kind: str, d: int, sieve: ArithSieve, series_limit: int,
     _validate_common(d, precision_bits)
     if series_limit < 1:
         raise ValueError(f"series limit must be positive, got {series_limit}")
-    if series_limit > sieve.limit:
+    half = series_limit // 2
+    if half > sieve.limit:
         raise ValueError(
-            f"series limit {series_limit} exceeds sieve limit {sieve.limit}"
+            f"series limit {series_limit} needs a sieve to {half}, "
+            f"above its limit {sieve.limit}"
         )
     one = 1 << precision_bits
     k = POWERS[kind]
     expo = d + k
     lo = hi = 0
-    mu = mobius_table(series_limit, sieve)
-    phi = totient_table(series_limit, sieve)
-    for start in range(2, series_limit + 1, SEGMENT):
-        signs = mu[start:start + SEGMENT]
+    mu = mobius_table(half, sieve)
+    phi = totient_table(half, sieve)
+    for start, signs, totients in table_pieces(series_limit, sieve, mu, phi):
         # Where mu(s) = sign the terms -mu(s) phi(s)^k / s^(d+k) add -sign
         # times a sum in [q, q + inexact]; lo takes its low end, hi its high.
         # Widened from int32 to uint64, phi(s)^k is exact: phi(s) < s <=
-        # MAX_SIEVE_LIMIT = 1e8, so phi(s)^2 < 2^54.
+        # 2 * MAX_SIEVE_LIMIT + 1, so phi(s)^2 < 2^56.
         for sign in (-1, 1):
-            s = np.flatnonzero(signs == sign) + start
-            numer = phi[s].astype(np.uint64) ** k
-            q, inexact = _floor_sum(numer, s, expo, precision_bits)
+            at = np.flatnonzero(signs == sign)
+            numer = totients[at].astype(np.uint64) ** k
+            q, inexact = _floor_sum(numer, at + start, expo, precision_bits)
             lo -= sign * q + (sign > 0) * inexact
             hi -= sign * q - (sign < 0) * inexact
 

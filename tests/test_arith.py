@@ -335,6 +335,30 @@ def test_tables_from_a_larger_sieve_match_an_exact_sieve(limit, big_sieve):
         assert np.array_equal(table(limit, big_sieve), table(limit, exact))
 
 
+# Half-length tables serve limits up to 2 * half + 1; 2 * 257^2 + 1 puts
+# 257^2, whose spf a piece must mark from p*p, above the half.
+@pytest.mark.parametrize("limit", [1, 2, 3, 4, 5, 2 * SEGMENT + 1,
+                                   2 * SEGMENT + 2, 3 * SEGMENT + 7,
+                                   2 * 257**2 + 1])
+def test_table_pieces_from_half_tables_cover_every_modulus(limit):
+    half = limit // 2
+    sieve = build_sieve(max(half, 2))
+    pieces = list(arith.table_pieces(limit, sieve, mobius_table(half, sieve),
+                                     totient_table(half, sieve)))
+    start = 2
+    for lo, mu, phi in pieces:
+        assert lo == start and 0 < mu.size == phi.size <= SEGMENT
+        assert (mu.dtype, phi.dtype) == (np.int8, np.int32)
+        start += mu.size
+    assert start == max(limit + 1, 2)
+    exact = build_sieve(max(limit, 2))
+    for at, table in ((1, _reference_mobius_table),
+                      (2, _reference_totient_table)):
+        got = [piece[at] for piece in pieces]
+        assert np.array_equal(np.concatenate([np.zeros(0), *got]),
+                              table(limit, exact)[2:]), table.__name__
+
+
 @pytest.fixture(scope="module")
 def sieve_2e6():
     return build_sieve(2 * 10**6)

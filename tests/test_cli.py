@@ -255,6 +255,30 @@ def test_density_both_refuses_before_any_work(runner, monkeypatch):
     assert result.exit_code == 3
 
 
+@pytest.mark.parametrize("argv, limit", [
+    (["--method", "series", "--series-limit", "2000000"], 10**6),
+    (["--method", "both", "--prime-count", "78497", "--series-limit",
+      "1999999"], cli._nth_prime_bound(78497)),
+    (["--method", "product"], cli._nth_prime_bound(10000)),
+], ids=["series", "both", "product"])
+def test_density_sizes_the_sieve_to_what_the_routes_need(runner, monkeypatch,
+                                                         argv, limit):
+    # The series reads the sieve only to S // 2, the product to its
+    # prime-count-th prime; one sieve serves the larger need.
+    limits = []
+    build = cli.build_sieve
+
+    def recorded(limit, **kwargs):
+        limits.append(limit)
+        return build(limit, **kwargs)
+
+    monkeypatch.setattr(cli, "build_sieve", recorded)
+    result = runner.invoke(cli.main, ["density", "-d", "2", "--kind", "rho",
+                                      *argv])
+    assert result.exit_code == 0
+    assert limits == [limit]
+
+
 def test_density_disjoint_brackets_exit_4(runner, monkeypatch):
     def far_away(d, sieve, **kwargs):
         return DensityEstimate(kind="theta", degree=d, value=Fraction(9, 10),

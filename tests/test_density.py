@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from fractions import Fraction
 from pathlib import Path
@@ -238,18 +239,39 @@ def test_series_segments_sum_every_term_once(big_sieve, series_reference, fn,
             assert est.method == "mobius_series"
 
 
+@pytest.mark.parametrize("limit", SERIES_LIMITS)
+def test_series_from_the_smallest_sieve_is_bit_identical(series_reference,
+                                                         limit):
+    # The series reads the sieve only to S // 2; the moduli above come
+    # from streamed pieces, whose spf the series marks itself.  The
+    # reference is what the big sieve gives, as the test above asserts.
+    small = build_sieve(max(limit // 2, 2))
+    for fn in (theta_series, rho_series):
+        kind = fn.__name__.split("_")[0]
+        for d in (2, 3, 10):
+            for bits in (60, 96, 1024):
+                est = fn(d, small, series_limit=limit, precision_bits=bits)
+                assert ((est.value, est.lower, est.upper)
+                        == series_reference(kind, d)[bits, limit]), (kind, d)
+    if limit // 2 - 1 >= 2:
+        with pytest.raises(ValueError):
+            theta_series(2, build_sieve(limit // 2 - 1), series_limit=limit)
+
+
 _terms = st.lists(
-    st.tuples(st.one_of(st.integers(2, 10**8), st.just(MAX_SIEVE_LIMIT),
-                        st.integers(1, 26).map(lambda e: 2**e)),
-              st.one_of(st.integers(1, 2**54 - 1),
-                        st.integers(0, 53).map(lambda e: 2**e))),
+    st.tuples(st.one_of(st.integers(2, 2 * MAX_SIEVE_LIMIT + 1),
+                        st.just(2 * MAX_SIEVE_LIMIT + 1),
+                        st.integers(1, 27).map(lambda e: 2**e)),
+              st.one_of(st.integers(1, 2**56 - 1),
+                        st.integers(0, 55).map(lambda e: 2**e))),
     max_size=40)
 
 
 @settings(max_examples=300, deadline=None)
 @given(terms=_terms, expo=st.integers(3, 12), bits=st.integers(60, 300))
-@example(terms=[(MAX_SIEVE_LIMIT, 2**54 - 1), (2, 1), (2**26, 2**53)],
-         expo=12, bits=300)
+# The series' largest modulus, 2 * MAX_SIEVE_LIMIT + 1, under 2^28.
+@example(terms=[(2 * MAX_SIEVE_LIMIT + 1, 2**56 - 1), (2, 1),
+                (2**27, 2**55)], expo=12, bits=300)
 # bitlen(numer) + P = expo * (bitlen(s) - 1) exactly: q = 0 for 2^12 - 1,
 # q = 1 (exact) for 2^12, and the same pair one bit under the line.
 @example(terms=[(2**26, 2**12 - 1), (2**26, 2**12), (2**27 - 1, 2**12 - 1),
@@ -481,7 +503,7 @@ def test_validation_errors(big_sieve):
     with pytest.raises(ValueError):
         theta_product(2, big_sieve, prime_count=big_sieve.primes.size + 1)
     with pytest.raises(ValueError):
-        theta_series(2, big_sieve, series_limit=big_sieve.limit + 1)
+        theta_series(2, big_sieve, series_limit=2 * big_sieve.limit + 2)
     with pytest.raises(ValueError):
         theta_series(2, big_sieve, series_limit=0)
     with pytest.raises(ValueError):
@@ -566,14 +588,29 @@ def _rss_rise(route, limit, bits):
 
 @pytest.mark.parametrize("bits", [96, 4096])
 def test_series_peak_memory_stays_near_its_tables(bits):
-    # mu and phi to 10^6 are 1 MB (int8) and 4 MB (int32); the rest is
-    # one SEGMENT of terms at a time.  The rise was 7.7 MB at both widths,
-    # against 18.4 MB with int64 tables, which this bound refuses.  Lists
-    # of every term at once took 9.9 times an int64 table.  At 4096 bits,
-    # 128 zero limbs follow the numerator's: they stream through the
-    # remainders, where a limbs x terms matrix of one segment would take
-    # 131 * 8 bytes for each of its ~40,000 terms.
+    # mu and phi to 10^6 // 2 are 0.5 MB (int8) and 2 MB (int32); the rest
+    # is one SEGMENT of terms at a time.  The rise is 5.4 MB at both widths
+    # (7.7 MB with the tables to 10^6), against 18.4 MB with full-length
+    # int64 tables, which this bound refuses.  Lists of every term at once
+    # took 9.9 times an int64 table.  At 4096 bits, 128 zero limbs follow
+    # the numerator's: they stream through the remainders, where a limbs x
+    # terms matrix of one segment would take 131 * 8 bytes for each of its
+    # ~40,000 terms.
     assert _rss_rise("series", 10**6, bits) <= 12 * 10**6
+
+
+def test_series_streams_the_upper_half_of_its_terms(big_sieve):
+    # The tables stop at S // 2 (int8 mu and int32 phi, 5 bytes a modulus);
+    # the moduli above come one piece at a time.  The rest of the peak is
+    # 2.5 MB; holding mu and phi for the upper half at once would add 5 MB.
+    S = 2 * 10**6
+    tracemalloc.start()
+    try:
+        rho_series(2, big_sieve, series_limit=S)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - 5 * (S // 2 + 1) <= 4 * 10**6
 
 
 def test_power_sum_pass_peak_memory_stays_within_pieces():
