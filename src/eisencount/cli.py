@@ -66,11 +66,17 @@ def _guarded(fn):
 
 
 def _nth_prime_bound(n: int) -> int:
-    """An upper bound for the n-th prime, safe for sieve sizing."""
+    """An upper bound for the n-th prime, safe for sieve sizing.
+
+    p_n < n(ln n + ln ln n) for n >= 6 (Rosser), and p_n <=
+    n(ln n + ln ln n - 0.9484) for n >= 39017 (Dusart, Math. Comp. 68, 1999).
+    """
     if n < 6:
         return 13
-    x = n * (math.log(n) + math.log(math.log(n)))
-    return int(x) + 1
+    x = math.log(n) + math.log(math.log(n))
+    if n >= 39017:
+        x -= 0.9484
+    return int(n * x) + 1
 
 
 def _counters(variant: str):

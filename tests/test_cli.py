@@ -279,6 +279,15 @@ def test_density_sizes_the_sieve_to_what_the_routes_need(runner, monkeypatch,
     assert limits == [limit]
 
 
+def test_nth_prime_bound_holds_up_to_210000():
+    # The tightest case is n = 39017, where Dusart's form takes over:
+    # p = 467473 against a bound of 467484, a margin of 11.
+    primes = arith.build_sieve(3_000_000).primes.tolist()
+    short = [n for n in range(1, 210_001)
+             if cli._nth_prime_bound(n) < primes[n - 1]]
+    assert short == []
+
+
 def test_density_disjoint_brackets_exit_4(runner, monkeypatch):
     def far_away(d, sieve, **kwargs):
         return DensityEstimate(kind="theta", degree=d, value=Fraction(9, 10),
