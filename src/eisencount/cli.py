@@ -10,6 +10,7 @@ and subcommand options read none.  Exit codes are a stable contract:
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import re
@@ -28,7 +29,7 @@ from .density import (DEFAULT_PRECISION_BITS, DEFAULT_PRIME_COUNT,
 from .errors import BudgetExceededError, InvariantError
 from .oracle import (DEFAULT_ENUMERATION_BUDGET, brute_count_general,
                      brute_count_monic)
-from .results import VARIANTS, box_size
+from .results import VARIANTS, check_box
 
 
 @dataclass(frozen=True)
@@ -63,6 +64,24 @@ def _guarded(fn):
             raise click.UsageError(str(exc))
 
     return wrapper
+
+
+@contextlib.contextmanager
+def _all_digits():
+    """Lift Python's limit on int -> str digits (3.10.7 on) for the block.
+
+    Exact counts print in full however long; options were parsed under the
+    limit, so a 5000-digit option value still exits 2.
+    """
+    # 0: no limit, as before 3.10.7, which lacks the function too.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _nth_prime_bound(n: int) -> int:
@@ -182,6 +201,8 @@ def cmd_count(cfg: CliConfig, degree, height, variant, method):
     """Count Eisenstein polynomials of one degree and height bound."""
     exact = brute = None
     fast_fn, brute_fn = _counters(variant)
+    if method != "exact":  # refuse an oversized box before the sieve
+        check_box(variant, degree, height, cfg.enumeration_budget)
     if method in ("exact", "both"):
         sieve = _sieve_for(cfg, sieve_limit(variant, height))
         exact = fast_fn(degree, height, sieve).value
@@ -192,7 +213,8 @@ def cmd_count(cfg: CliConfig, degree, height, variant, method):
             f"count mismatch for {variant} degree {degree} height {height}: "
             f"inclusion-exclusion {exact} vs brute force {brute}"
         )
-    click.echo(exact if exact is not None else brute)
+    with _all_digits():
+        click.echo(exact if exact is not None else brute)
 
 
 @main.command("density")
@@ -283,13 +305,8 @@ def cmd_verify(cfg: CliConfig, max_degree, max_height):
     """Replay the fast counts against brute force over a full grid."""
     # Refuse up front if the largest enumeration would blow the budget,
     # rather than part-way through the sweep.
-    worst = max(box_size(v, max_degree, max_height) for v in VARIANTS)
-    if worst > cfg.enumeration_budget:
-        raise BudgetExceededError(
-            f"verification up to degree {max_degree}, height {max_height} "
-            f"needs {worst} polynomials in one enumeration, over the budget "
-            f"of {cfg.enumeration_budget}"
-        )
+    for variant in VARIANTS:
+        check_box(variant, max_degree, max_height, cfg.enumeration_budget)
     sieve = _sieve_for(cfg, max_height)
     mismatches = []
     checks = 0
@@ -337,7 +354,8 @@ def cmd_error_term(cfg: CliConfig, variant, degree, heights, prime_count, fmt):
     rows = report.error_term_profile(variant, degree, heights, sieve,
                                      prime_count=prime_count,
                                      precision_bits=cfg.precision_bits)
-    _emit(fmt or cfg.output_format, rows, _profile_text)
+    with _all_digits():
+        _emit(fmt or cfg.output_format, rows, _profile_text)
 
 
 if __name__ == "__main__":

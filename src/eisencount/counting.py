@@ -1,22 +1,24 @@
 """Exact Eisenstein counts via Moebius inclusion-exclusion.
 
-The number of Eisenstein polynomials of degree d and height at most H is
-assembled from per-modulus counts: for a square-free modulus s, the
-polynomials whose witness primes include every prime of s form a box
-whose cardinality has a closed form in terms of :func:`~eisencount.arith.
-phi_bounded`.  Alternating these boxes over all square-free s up to H
-gives the exact count.
+For a square-free modulus s, the polynomials of degree d and height at
+most H whose witness primes include every prime of s form a box.  With
+a = H // s it holds (2a+1)^(d-1) * phi_bounded(s, a) polynomials, times
+phi_bounded(s, H) when the leading coefficient is free too (see
+:func:`count_monic_s`).  Alternating the boxes over s gives the exact count
 
-Monic counts never visit the moduli one by one.  With q = H // s,
-g(q) = (2q+1)^(d-1) and psi(s) = sum over t | s of mu(t) * (q // t), the
-box of s >= 2 holds 2 * g(q) * psi(s) polynomials, so
+    count(d, H) = sum over the values a of H // s of c_a * (2a+1)^(d-1),
+    c_a = -sum over s >= 2 with H // s = a of mu(s) * phi_bounded(s, a)
+          (* phi_bounded(s, H) for general counts).
 
-    count_monic(d, H) = -2 * sum over s >= 2 of mu(s) * g(H // s) * psi(s).
+Each counter builds the O(sqrt(H)) pairs (a, c_a), which do not depend on
+d, and only :func:`_evaluate` raises 2a+1 to the power d - 1.  For s >= 2,
+phi_bounded(s, a) = 2 * psi(s) with psi(s) = sum over t | s of
+mu(t) * (H // (s*t)), which :func:`_add_psi` fills over a range of moduli.
 
-The moduli s <= L = H // A are summed directly, psi filled by one strided
-slice per square-free t.  Every larger s has a = H // s < A.  Writing
+Monic counts never visit the moduli one by one.  The moduli s <= L = H // A
+are summed directly.  Every larger s has a = H // s < A.  Writing
 s = t * m with t | s square-free and m coprime to t, the moduli of one
-value a contribute
+value a contribute c_a = -2 times
 
     sum over t <= a of (a // t) * (M_t(H // (t*a)) - M_t(H // (t*(a+1)))),
 
@@ -28,20 +30,17 @@ M(v) = 1 - sum over j >= 2 of M(v // j), smallest v first, with the j of
 one value of v // j taken together (Deleglise-Rivat, "Computing the
 summation of the Moebius function", Exp. Math. 1996).  A is about
 H^(1/3), so the sieve and the Moebius table reach only about H^(2/3)
-(below DIRECT_HEIGHT, A = 1 and every modulus is summed directly).
-Both parts accumulate one int64 coefficient per value a of H // s, and
-only the O(sqrt(H)) powers g(a) are Python integers; monic_sum_bound
-keeps the int64 values from wrapping.
+(A = 1 below DIRECT_HEIGHT).  Both parts sum c_a / -2 in int64, which
+monic_sum_bound keeps from wrapping.
 
 General counts carry the extra factor phi_bounded(s, H), for which no
 grouped form is known, so they visit every modulus.  The sum is split at
-r = isqrt(H).  The head, s <= r, calls the closed form once per modulus.
-In the tail, s > r, the phi_bounded factors are filled into int64 numpy
-arrays WINDOW moduli at a time and summed per run of equal q, so again
-only the O(sqrt(H)) run sums are multiplied by the big-integer power
-g(q).  The windows bound the extra memory to a few WINDOW-sized arrays
-next to the Moebius table of length H + 1; block_sum_bound keeps their
-int64 sums from wrapping.
+r = isqrt(H).  The head, s <= r, calls phi_bounded twice per modulus.  In
+the tail, s > r, psi(s) and phi_bounded(s, H) / 2 are filled into int64
+numpy arrays WINDOW moduli at a time and summed per run of equal a, one
+pair per run.  The windows bound the extra memory to a few WINDOW-sized
+arrays next to the Moebius table of length H + 1; block_sum_bound keeps
+their int64 sums from wrapping.
 """
 
 from __future__ import annotations
@@ -92,9 +91,9 @@ def count_general_s(d: int, s: int, H: int, sieve: ArithSieve) -> int:
 
 
 # The general tail sums moduli s > isqrt(H) WINDOW at a time in int64
-# arrays; the monic sum fills its strided slices WINDOW entries at a time.
-# Each general term is mu(s) * P[s] * G[s] with 0 <= P[s] <= isqrt(H) and
-# 0 <= G[s] <= H, so no sum over part of one window can exceed
+# arrays; _add_psi fills its strided slices WINDOW entries at a time.
+# Each general term is mu(s) * psi(s) * G[s] with 0 <= psi(s) <= isqrt(H)
+# and 0 <= G[s] <= H, so no sum over part of one window can exceed
 # block_sum_bound(H) in absolute value.  That bound must stay below 2^63
 # up to MAX_SIEVE_LIMIT.
 WINDOW = 1 << 16
@@ -121,18 +120,22 @@ def monic_sum_bound(H: int) -> int:
     return 2 * H * (1 + H.bit_length())
 
 
-def _half_phi_q(lo: int, H: int, q: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """P[s - lo] = phi_bounded(s, q[s - lo]) / 2, where q[s - lo] = H // s.
+def _add_psi(psi: np.ndarray, lo: int, H: int, mu: np.ndarray) -> None:
+    """psi[s - lo] += psi(s) for lo <= s < lo + psi.size.
 
-    For s >= 2, phi_bounded(s, x) = 2 * sum over t | s of mu(t) * (x // t);
-    one strided slice per square-free t <= H // lo, ending where s > H // t
-    makes q // t zero.
+    psi(s) = sum over t | s of mu(t) * (H // (s*t)), half of
+    phi_bounded(s, H // s) for s >= 2.  One strided slice per square-free
+    t <= min(isqrt(H), H // lo) and per WINDOW values of j = s // t, up to
+    the last j with H // (t*t*j) > 0.
     """
-    P = np.zeros(q.size, dtype=np.int64)
-    for t in (np.flatnonzero(mu[1:H // lo + 1]) + 1).tolist():
-        start, stop = -lo % t, H // t + 1 - lo
-        P[start:stop:t] += int(mu[t]) * (q[start:stop:t] // t)
-    return P
+    hi, t_max = lo + psi.size, min(math.isqrt(H), H // lo)
+    for t in (np.flatnonzero(mu[1:t_max + 1]) + 1).tolist():
+        X, top = H // (t * t), (hi - 1) // t
+        add = np.add if mu[t] > 0 else np.subtract
+        for j in range(-(-lo // t), min(top, X) + 1, WINDOW):
+            stop = min(j + WINDOW, top + 1, X + 1)
+            view = psi[t * j - lo:t * stop - lo:t]
+            add(view, X // np.arange(j, stop), out=view)
 
 
 def _half_phi_H(lo: int, hi: int, r: int, lead: np.ndarray) -> np.ndarray:
@@ -215,19 +218,12 @@ def _mertens(H: int, A: int, mu: np.ndarray) -> np.ndarray:
 def _direct_sum(H: int, A: int, mu: np.ndarray):
     """(a, c): c = sum of mu(s) * psi(s) over 2 <= s <= H // A with H // s = a.
 
-    psi(t * j) gathers mu(t) * (H // (t*t*j)) from one strided slice per
-    square-free t <= isqrt(H).  A prefix sum over s then gives each value
-    a its run (H // (a+1), H // a] as one difference.
+    A prefix sum of mu(s) * psi(s) over s gives each value a its run
+    (H // (a+1), H // a] as one difference.
     """
     L, r = H // A, math.isqrt(H)
     psi = np.zeros(L + 1, dtype=np.int64)
-    for t in (np.flatnonzero(mu[1:r + 1]) + 1).tolist():
-        X = H // (t * t)
-        add = np.add if mu[t] > 0 else np.subtract
-        for lo in range(1, min(L // t, X) + 1, WINDOW):
-            hi = min(lo + WINDOW, L // t + 1, X + 1)
-            view = psi[t * lo:t * hi:t]
-            add(view, X // np.arange(lo, hi), out=view)
+    _add_psi(psi[1:], 1, H, mu)
     psi *= mu[:L + 1]
     psi[1] = 0
     np.cumsum(psi, out=psi)
@@ -293,14 +289,15 @@ def count_monic_eisenstein(d: int, H: int, sieve: ArithSieve) -> ExactCount:
     if needed > sieve.limit:
         raise ValueError(f"height {H} needs a sieve to {needed}, over the "
                          f"sieve limit {sieve.limit}")
-    return ExactCount(value=_monic_sum(d, H, _split(H), sieve), degree=d,
-                      height=H, variant="monic", method="inclusion_exclusion")
+    return ExactCount(value=_evaluate(d, *_monic_terms(H, _split(H), sieve)),
+                      degree=d, height=H, variant="monic",
+                      method="inclusion_exclusion")
 
 
-def _monic_sum(d: int, H: int, A: int, sieve: ArithSieve) -> int:
-    """The monic count, the moduli above H // A summed through Mertens values.
+def _monic_terms(H: int, A: int, sieve: ArithSieve):
+    """(a, c) of the monic count, the values a < A through Mertens values.
 
-    Any 1 <= A with A * A <= H gives the same count, from a sieve to H // A.
+    Any 1 <= A with A * A <= H gives the same pairs, from a sieve to H // A.
     """
     mu = mobius_table(H // A, sieve)
     values, coefficients = _direct_sum(H, A, mu)
@@ -308,51 +305,54 @@ def _monic_sum(d: int, H: int, A: int, sieve: ArithSieve) -> int:
         above_values, above_coefficients = _mertens_sum(H, A, mu, sieve.spf)
         values = np.concatenate((values, above_values))
         coefficients = np.concatenate((coefficients, above_coefficients))
-    total = 0
-    for a, c in zip(values.tolist(), coefficients.tolist()):
-        if c:
-            total += c * (2 * a + 1) ** (d - 1)
-    return -2 * total
+    return values.tolist(), [-2 * c for c in coefficients.tolist()]
+
+
+def _evaluate(d: int, a: list[int], c: list[int]) -> int:
+    """The count at degree d: sum of c * (2a+1)^(d-1) over the pairs (a, c)."""
+    return sum(ci * (2 * ai + 1) ** (d - 1) for ai, ci in zip(a, c) if ci)
 
 
 def count_general_eisenstein(d: int, H: int, sieve: ArithSieve) -> ExactCount:
     """Exact number of Eisenstein polynomials with all of a_0..a_d bounded by H.
 
-    Same alternating sum as :func:`count_monic_eisenstein` built on
-    :func:`count_general_s`; the leading coefficient now ranges over the
-    height box as well (a zero leading coefficient never occurs, since no
-    prime can avoid dividing 0).  Only the moduli s <= isqrt(H) call
-    :func:`count_general_s`; in the windows the factor phi_bounded(s, q)
-    is filled one strided slice per divisor t, and phi_bounded(s, H) from
-    the divisor pairs of s.  ``sieve.limit`` must reach H.
+    The boxes of :func:`count_general_s` alternated as in
+    :func:`count_monic_eisenstein` (a zero leading coefficient never occurs,
+    since no prime can avoid dividing 0).  Only the moduli s <= isqrt(H)
+    call :func:`~eisencount.arith.phi_bounded`; the windows fill its two
+    factors through :func:`_add_psi` and the divisor pairs of s.
+    ``sieve.limit`` must reach H.
     """
     check_degree_height(d, H)
     if H > sieve.limit:
         raise ValueError(f"height {H} exceeds sieve limit {sieve.limit}")
-    mu = mobius_table(H, sieve)
-    r = math.isqrt(H)
-    # Head, s <= r: each modulus has its own q = H // s; one closed form each.
-    head = 0
-    for s, m in enumerate(mu[2:r + 1].tolist(), start=2):
-        if m:
-            head += m * count_general_s(d, s, H, sieve)
+    return ExactCount(value=_evaluate(d, *_general_terms(H, sieve)),
+                      degree=d, height=H, variant="general",
+                      method="inclusion_exclusion")
+
+
+def _general_terms(H: int, sieve: ArithSieve):
+    """(a, c) of the general count; a value a can recur in two windows."""
+    mu, r = mobius_table(H, sieve), math.isqrt(H)
+    # Head, s <= r: each modulus has its own a = H // s, and its own pair.
+    values = [H // s for s in range(2, r + 1) if mu[s]]
+    coefficients = [-int(mu[s]) * phi_bounded(s, H // s, sieve)
+                    * phi_bounded(s, H, sieve)
+                    for s in range(2, r + 1) if mu[s]]
     # lead[t] = mu(t) * (H // t), filled a window at a time; int64, as mu
     # is int8 and an in-place product would wrap.
     lead = mu.astype(np.int64)
     for lo in range(1, H + 1, WINDOW):
         lead[lo:lo + WINDOW] *= H // np.arange(lo, min(lo + WINDOW, H + 1))
-    # Tail, s > r: q = H // s <= r is shared by runs of consecutive s, so
-    # only one big-integer power (2q+1)^(d-1) is needed per run.
-    tail = 0
+    # Tail, s > r: a = H // s <= r is shared by runs of consecutive s, one
+    # pair per run.  psi and G are halves of phi_bounded: a factor 4.
     for lo in range(max(2, r + 1), H + 1, WINDOW):
         hi = min(lo + WINDOW, H + 1)
         q = H // np.arange(lo, hi)
-        terms = mu[lo:hi] * _half_phi_q(lo, H, q, mu)
-        terms *= _half_phi_H(lo, hi, r, lead)
+        terms = np.zeros(hi - lo, dtype=np.int64)
+        _add_psi(terms, lo, H, mu)
+        terms *= mu[lo:hi] * _half_phi_H(lo, hi, r, lead)
         runs = np.concatenate(([0], np.flatnonzero(np.diff(q)) + 1))
-        sums = np.add.reduceat(terms, runs).tolist()
-        for qq, b in zip(q[runs].tolist(), sums):
-            tail += b * (2 * qq + 1) ** (d - 1)
-    # P and G are halves of phi_bounded: a factor 2 each.
-    return ExactCount(value=-head - 4 * tail, degree=d, height=H,
-                      variant="general", method="inclusion_exclusion")
+        values += q[runs].tolist()
+        coefficients += [-4 * b for b in np.add.reduceat(terms, runs).tolist()]
+    return values, coefficients

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceededError, check_degree_height
-from .results import VARIANTS, ExactCount, box_size
+from .errors import check_degree_height
+from .results import VARIANTS, ExactCount, check_box
 
 DEFAULT_ENUMERATION_BUDGET = 10**8
 # Most cells (polynomials sharing one a_0) that one numpy block holds.
@@ -165,12 +165,7 @@ def _brute_count(variant: str, d: int, H: int, budget: int) -> ExactCount:
     check_degree_height(d, H)
     if budget < 1:
         raise ValueError(f"budget must be positive, got {budget}")
-    size = box_size(variant, d, H)
-    if size > budget:
-        raise BudgetExceededError(
-            f"{variant} degree-{d} enumeration needs {size} polynomials, "
-            f"over the budget of {budget}"
-        )
+    check_box(variant, d, H, budget)
     span = np.arange(-H, H + 1)
     # a_d is free only when k = 2; a monic a_d = 1 is never divisible.  Its
     # axis goes first: a one-cell axis last would make _outer copy a block.

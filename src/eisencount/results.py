@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvariantError
+from .errors import BudgetExceededError, InvariantError
 
 # k = VARIANTS[variant] counts the coefficients that must be units mod the
 # witness prime (a_0/p, and for general also a_d): density.POWERS' k.  A
@@ -20,6 +20,22 @@ METHODS = ("brute", "inclusion_exclusion")
 def box_size(variant: str, d: int, H: int) -> int:
     """(2H+1)^(d+k-1): the variant's polynomials of degree d, height <= H."""
     return (2 * H + 1) ** (d + VARIANTS[variant] - 1)
+
+
+def check_box(variant: str, d: int, H: int, budget: int) -> None:
+    """BudgetExceededError if box_size(variant, d, H) > budget.
+
+    Decided without building the box: the running power stops at the
+    first value over the budget, after about log_3(budget) products.
+    """
+    base, exponent = 2 * H + 1, d + VARIANTS[variant] - 1
+    size = 1
+    for _ in range(exponent):
+        size *= base
+        if size > budget:
+            raise BudgetExceededError(
+                f"{variant} degree-{d} enumeration needs {base}^{exponent} "
+                f"polynomials, over the budget of {budget}")
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,16 @@
 """Command line contract tests: outputs, formats, exit codes, environment."""
 
 import json
+import sys
+import time
 from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
 from eisencount import arith, cli, report
-from eisencount.counting import MAX_MONIC_HEIGHT, ExactCount, sieve_limit
+from eisencount.counting import (MAX_MONIC_HEIGHT, ExactCount,
+                                 count_monic_eisenstein, sieve_limit)
 from eisencount.density import DensityEstimate, theta_product
 
 
@@ -132,6 +135,58 @@ def test_count_sizes_the_sieve_to_what_the_count_needs(runner, monkeypatch,
     assert result.exit_code == 0
     assert limits == [sieve_limit(variant, H)]
     assert limits[0] == (10**4 if variant == "monic" else H)
+
+
+def test_count_both_refuses_the_brute_box_before_the_sieve(runner,
+                                                          monkeypatch):
+    _forbid(monkeypatch, "build_sieve", "count_monic_eisenstein")
+    result = runner.invoke(cli.main, ["count", "-d", "3", "-H", str(10**10),
+                                      "--variant", "monic", "--method", "both"])
+    assert result.exit_code == 3
+    assert "needs 20000000001^3 polynomials" in result.stderr
+
+
+@pytest.mark.parametrize("degree", [10**4, 10**9])
+@pytest.mark.parametrize("command", [
+    ["count", "-H", "1", "--variant", "monic", "--method", "brute", "-d"],
+    ["verify", "--max-height", "1", "--max-degree"],
+], ids=["count", "verify"])
+def test_oversized_box_is_refused_at_once(runner, command, degree):
+    # 3^degree is never built: neither compared in full nor printed.
+    start = time.perf_counter()
+    result = runner.invoke(cli.main, [*command, str(degree)])
+    assert time.perf_counter() - start < 1
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert f"needs 3^{degree} polynomials" in result.stderr
+
+
+def _digit_limit():
+    """Python's int -> str digit limit, None where it has none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
+def test_count_prints_a_count_past_the_int_digit_limit(runner, sieve):
+    # 6000 digits, past the 4300 that int -> str allows by default from
+    # Python 3.10.7 on; the limit is back in place after the output.
+    limit = _digit_limit()
+    result = runner.invoke(cli.main, ["count", "-d", "1000", "-H", "1000000",
+                                      "--variant", "monic"])
+    assert result.exit_code == 0
+    assert _digit_limit() == limit
+    value = count_monic_eisenstein(1000, 10**6, sieve).value
+    with cli._all_digits():
+        assert result.stdout == f"{value}\n"
+        assert len(str(value)) == 6000
+
+
+@pytest.mark.parametrize("option", ["-d", "-H"])
+def test_count_option_past_the_int_digit_limit_exits_2(runner, option):
+    values = {"-d": "3", "-H": "5", option: "9" * 5000}
+    argv = [part for item in values.items() for part in item]
+    result = runner.invoke(cli.main, ["count", *argv, "--variant", "monic"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
 
 
 def test_count_broken_invariant_exits_4(runner, monkeypatch):
@@ -515,6 +570,18 @@ def test_error_term_past_the_float_range_exits_2(runner, fmt):
     assert result.exit_code == 2
     assert result.stdout == ""
     assert "a value of order 1e329 is past the float range" in result.stderr
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_error_term_count_past_the_int_digit_limit_exits_2(runner, fmt):
+    # The count of monic degree 1000 at H = 10^6 has 6000 digits and
+    # formats in full, so the refusal is the main term's own.
+    result = runner.invoke(cli.main, ["--precision-bits", "1200", "error-term",
+                                      "--variant", "monic", "-d", "1000",
+                                      "--heights", "1000000", "--format", fmt])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "a value of order 1e5999 is past the float range" in result.stderr
 
 
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -75,11 +76,38 @@ COUNTERS = {"monic": (count_monic_eisenstein, count_monic_s),
             "general": (count_general_eisenstein, count_general_s)}
 
 
-def _reference_count(variant, d, H, sieve):
-    """The specification: one closed-form count per square-free modulus."""
+def _reference_terms(variant, d, H, sieve):
+    """The specification: {s: -mu(s) * the closed-form count of modulus s}."""
     per_s = COUNTERS[variant][1]
     mu = mobius_table(H, sieve).tolist()
-    return -sum(mu[s] * per_s(d, s, H, sieve) for s in range(2, H + 1) if mu[s])
+    return {s: -mu[s] * per_s(d, s, H, sieve)
+            for s in range(2, H + 1) if mu[s]}
+
+
+def _reference_count(variant, d, H, sieve):
+    """The specification: one closed-form count per square-free modulus."""
+    return sum(_reference_terms(variant, d, H, sieve).values())
+
+
+def _aggregate(values, coefficients):
+    """{a: c} from (a, c) pairs, the c of a repeated a added, zeros dropped."""
+    total = Counter()
+    for a, c in zip(values, coefficients):
+        total[a] += c
+    return {a: c for a, c in total.items() if c}
+
+
+def _reference_coefficients(variant, H, sieve):
+    """{a: c_a} of the specification, from its degree-2 terms.
+
+    At d = 2 the term of s is (2a+1) * c with a = H // s and
+    c = -mu(s) * phi_bounded(s, a), times phi_bounded(s, H) for general
+    counts; the c of one a are added up.
+    """
+    terms = _reference_terms(variant, 2, H, sieve)
+    values = [H // s for s in terms]
+    return _aggregate(values, [term // (2 * a + 1)
+                               for a, term in zip(values, terms.values())])
 
 
 def _check_against_reference(variant, d, H, sieve):
@@ -125,22 +153,26 @@ def test_window_sums_fit_in_int64():
 
 @pytest.mark.parametrize("variant", sorted(COUNTERS))
 def test_per_modulus_calls_stop_at_square_root(variant, big_sieve, monkeypatch):
-    # The general head calls count_general_s once per square-free s <= isqrt(H);
-    # the monic sum never visits a modulus on its own.
-    fast, per_s = COUNTERS[variant]
+    # The general head calls phi_bounded twice per square-free s <= isqrt(H);
+    # the monic sum never visits a modulus on its own, and neither counter
+    # calls the per-modulus closed forms.
     calls = []
 
-    def counted(*args):
-        calls.append(args)
-        return per_s(*args)
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return wrapper
 
-    monkeypatch.setattr(counting, per_s.__name__, counted)
+    for fn in (phi_bounded, count_monic_s, count_general_s):
+        monkeypatch.setattr(counting, fn.__name__, counted(fn))
     H = 10**5
-    fast(3, H, big_sieve)
+    COUNTERS[variant][0](3, H, big_sieve)
     if variant == "monic":
         assert calls == []
     else:
-        assert 0 < len(calls) <= math.isqrt(H)
+        assert set(calls) == {"phi_bounded"}
+        assert 0 < len(calls) <= 2 * math.isqrt(H)
 
 
 @settings(max_examples=60, deadline=None)
@@ -152,8 +184,32 @@ def test_monic_sum_matches_per_modulus_reference_at_every_split(d, H, data,
     # Below DIRECT_HEIGHT the count sums every modulus directly (A = 1); a
     # larger A puts the values H // s < A through the Mertens sum.
     A = data.draw(st.integers(min_value=1, max_value=math.isqrt(H)), label="A")
-    assert counting._monic_sum(d, H, A, sieve) == \
+    assert counting._evaluate(d, *counting._monic_terms(H, A, sieve)) == \
         _reference_count("monic", d, H, sieve)
+
+
+@pytest.mark.parametrize("variant", sorted(COUNTERS))
+@pytest.mark.parametrize("heights", [range(1, 61), (4097,), (65535,),
+                                     (65536,), (2 * 10**5,)],
+                         ids=["grid", "4097", "65535", "65536", "2e5"])
+def test_coefficients_match_the_specification_at_every_degree(
+        variant, heights, big_sieve):
+    # Two finite sums of c_a * (2a+1)^(d-1) that agree for every d have
+    # equal coefficients, so equal (a, c) pairs check every degree at once.
+    # Heights to 60 cover the acceptance grid.  65535 and 65536 straddle
+    # DIRECT_HEIGHT and WINDOW; at 2e5 the general tail spans four windows,
+    # and a = 1 and a = 3 recur across them.  Monic pairs come from several
+    # cuts.
+    for H in heights:
+        expected = _reference_coefficients(variant, H, big_sieve)
+        if variant == "general":
+            pairs = [counting._general_terms(H, big_sieve)]
+        else:
+            cuts = {1, 2, math.isqrt(H), counting._split(H)}
+            pairs = [counting._monic_terms(H, A, big_sieve)
+                     for A in sorted(cuts) if A * A <= H]
+        for values, coefficients in pairs:
+            assert _aggregate(values, coefficients) == expected, (variant, H)
 
 
 # count_monic_eisenstein(d, 10**8) for d = 2..5 as the windowed counter gave
@@ -192,7 +248,7 @@ def test_two_cuts_agree_at_1e9():
     golden = int((GOLDENS / f"count_monic_3_{H}.txt").read_text())
     sieve = build_sieve(H // 500)
     assert count_monic_eisenstein(3, H, sieve).value == golden
-    assert counting._monic_sum(3, H, 500, sieve) == golden
+    assert counting._evaluate(3, *counting._monic_terms(H, 500, sieve)) == golden
 
 
 def test_monic_sums_fit_in_int64():

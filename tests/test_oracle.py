@@ -16,7 +16,7 @@ from eisencount.errors import BudgetExceededError
 from eisencount.oracle import (Polynomial, brute_count_general,
                                brute_count_monic, eisenstein_witnesses,
                                is_eisenstein)
-from eisencount.results import VARIANTS, box_size
+from eisencount.results import VARIANTS, box_size, check_box
 
 
 def test_polynomial_basics():
@@ -95,6 +95,18 @@ def test_budget_refusal_is_not_silent():
         brute_count_general(2, 2, budget=124)
     with pytest.raises(BudgetExceededError):
         brute_count_monic(4, 50, budget=10**8)
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_check_box_refuses_exactly_the_boxes_over_budget(variant):
+    for d in range(2, 7):
+        for H in range(1, 5):
+            size = box_size(variant, d, H)
+            check_box(variant, d, H, size)
+            exponent = d + VARIANTS[variant] - 1
+            with pytest.raises(BudgetExceededError,
+                               match=fr"needs {2 * H + 1}\^{exponent} "):
+                check_box(variant, d, H, size - 1)
 
 
 def test_argument_validation():
