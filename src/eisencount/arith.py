@@ -1,24 +1,32 @@
 """Sieve-backed multiplicative arithmetic functions.
 
-A smallest-prime-factor table (:class:`ArithSieve`) supports O(log n)
-factorization, from which the Moebius function, Euler totient, distinct
-prime count and divisor count follow directly.  The module also
-provides :func:`phi_bounded`, the exact count of integers in a symmetric
-interval coprime to a modulus, which is the basic building block of the
-polynomial counting formulas, plus bulk table versions of mu and phi for
-callers that sweep a contiguous range, each value taken from the one at
-n / spf(n) in O(SEGMENT) memory beyond the result.  The tables are as
-narrow as their values: int8 for mu and int32 for phi (phi(n) < n <=
-2 * MAX_SIEVE_LIMIT + 1 < 2^31), 5 bytes per entry, so callers widen them
-before they multiply.  :func:`table_pieces` streams both up to twice a
-table's limit, from the tables and the same recurrence.
+:class:`ArithSieve` covers the integers 2..limit and builds what it holds
+on first read, so a caller pays only for what it reads.  Its prime list
+serves the Euler product.  Its smallest-prime-factor (spf) table, 4
+bytes per integer, serves only the callers that factor single numbers:
+the scalar Moebius function, Euler totient, distinct prime count and
+divisor count, :func:`phi_bounded` (the exact count of integers in a
+symmetric interval coprime to a modulus, the building block of the
+polynomial counting formulas) and the monic counter's Mertens part.
+
+The bulk table versions of mu and phi, for callers that sweep a
+contiguous range, read neither array.  Each value comes from the one at
+n / spf(n), with spf marked one piece at a time by the primes up to the
+square root that :func:`build_sieve` keeps, in O(SEGMENT) memory beyond
+the result.  The tables are as narrow as their values: int8 for mu and
+int32 for phi (phi(n) < n <= 2 * MAX_SIEVE_LIMIT + 1 < 2^31), 5 bytes
+per entry, so callers widen them before they multiply.
+:func:`table_pieces` streams both up to twice a table's limit, from the
+tables and the same recurrence.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -26,10 +34,11 @@ from .errors import BudgetExceededError
 
 DEFAULT_SIEVE_LIMIT = 10**7
 
-# Hard cap on sieve size: int32 spf entries, so ~400 MB at the cap.
+# Hard cap on sieve size.  Reading spf costs int32 entries, ~400 MB at the
+# cap; the prime list alone is about 46 MB there.
 MAX_SIEVE_LIMIT = 10**8
 
-# Width of the pieces mobius_table and totient_table fill one at a time.
+# Width of the pieces the tables and the prime list are marked in.
 # Independent of counting.WINDOW, which bounds the counter's int64 sums.
 SEGMENT = 1 << 16
 
@@ -38,25 +47,63 @@ SEGMENT = 1 << 16
 # equality both expensive and unhashable.
 @dataclass(frozen=True, eq=False)
 class ArithSieve:
-    """Smallest-prime-factor table for 2..limit plus the prime list.
+    """The primes and smallest prime factors of 2..limit, built on first read.
 
     Attributes
     ----------
     limit : int
-        Largest integer covered by the table.
-    spf : numpy.ndarray
-        ``spf[n]`` is the least prime dividing n for every 2 <= n <= limit.
-        Entries 0 and 1 are unused and hold 0.
-    primes : numpy.ndarray
-        All primes <= limit in ascending order.
+        Largest integer covered.
+    root_primes : tuple of int
+        Every prime up to isqrt(2 * limit + 1): enough to mark any piece
+        that :func:`table_pieces` reaches.
 
-    Both arrays are marked read-only, so no caller can alter a sieve
-    that another caller holds.
+    ``primes`` and ``spf`` are cached properties: each array is built the
+    first time it is read and marked read-only, so no caller can alter a
+    sieve that another caller holds.
     """
 
     limit: int
-    spf: np.ndarray
-    primes: np.ndarray
+    root_primes: tuple[int, ...]
+
+    @functools.cached_property
+    def primes(self) -> np.ndarray:
+        """All primes <= limit in ascending order, as int64.
+
+        Marked SEGMENT integers at a time into one array sized by
+        pi(x) < x / ln x * (1 + 1.2762 / ln x) for x > 1 (Dusart, 1998),
+        so the build needs about one piece beyond its result.
+        """
+        log = math.log(self.limit)
+        found = np.empty(int(self.limit / log * (1 + 1.2762 / log)) + 1,
+                         dtype=np.int64)
+        count, marks = 0, np.empty(SEGMENT, dtype=np.int32)
+        for lo in range(2, self.limit + 1, SEGMENT):
+            piece = marks[:self.limit + 1 - lo]
+            piece.fill(0)
+            _mark(piece, lo, self._marking_primes(lo + piece.size - 1))
+            new = np.flatnonzero(piece == 0)
+            np.add(new, lo, out=found[count:count + new.size])
+            count += new.size
+        primes = found[:count]
+        primes.flags.writeable = False
+        return primes
+
+    @functools.cached_property
+    def spf(self) -> np.ndarray:
+        """``spf[n]``, the least prime dividing n, for 2 <= n <= limit.
+
+        int32, by one :func:`_mark` pass over the whole table; entries 0
+        and 1 are unused and hold 0.
+        """
+        spf = _spf_piece(0, self.limit + 1, self._marking_primes(self.limit))
+        spf[:2] = 0
+        spf.flags.writeable = False
+        return spf
+
+    def _marking_primes(self, end: int) -> Sequence[int]:
+        """The primes up to isqrt(end), which mark any piece ending at end."""
+        return self.root_primes[:bisect.bisect_right(self.root_primes,
+                                                     math.isqrt(end))]
 
     def nth_prime(self, n: int) -> int:
         """The n-th prime (1-indexed), if covered by the sieve."""
@@ -69,12 +116,12 @@ class ArithSieve:
 
 def build_sieve(limit: int = DEFAULT_SIEVE_LIMIT, *,
                 max_limit: int = MAX_SIEVE_LIMIT) -> ArithSieve:
-    """Build a smallest-prime-factor sieve covering 2..limit.
+    """A sieve covering 2..limit, holding only the primes to its square root.
 
     Parameters
     ----------
     limit : int
-        Inclusive upper end of the table, at least 2.
+        Inclusive upper end of the sieve, at least 2.
     max_limit : int, optional
         Memory budget expressed as the largest acceptable ``limit``.  It
         can only lower the hard cap :data:`MAX_SIEVE_LIMIT`, never raise it.
@@ -82,6 +129,7 @@ def build_sieve(limit: int = DEFAULT_SIEVE_LIMIT, *,
     Returns
     -------
     ArithSieve
+        Its prime list and spf table are built when first read.
 
     Raises
     ------
@@ -97,21 +145,15 @@ def build_sieve(limit: int = DEFAULT_SIEVE_LIMIT, *,
         raise BudgetExceededError(
             f"sieve limit {limit} exceeds the memory budget {budget}"
         )
-    spf = np.zeros(limit + 1, dtype=np.int32)
-    root = math.isqrt(limit)
+    root = math.isqrt(2 * limit + 1)
     small = np.arange(root + 1) >= 2
     for p in range(2, math.isqrt(root) + 1):
         small[p * p:: p] = False
-    _mark(spf, 0, np.flatnonzero(small).tolist())
-    # Everything still unmarked above 1 is prime.
-    primes = np.flatnonzero(spf[2:] == 0) + 2
-    spf[primes] = primes
-    spf.flags.writeable = False
-    primes.flags.writeable = False
-    return ArithSieve(limit=limit, spf=spf, primes=primes)
+    return ArithSieve(limit=limit,
+                      root_primes=tuple(np.flatnonzero(small).tolist()))
 
 
-def _mark(spf: np.ndarray, lo: int, primes: list[int]) -> None:
+def _mark(spf: np.ndarray, lo: int, primes: Sequence[int]) -> None:
     """Set spf[n - lo] to spf(n) for the composites n of lo..lo+spf.size-1.
 
     Each of the ascending ``primes``, which must hold every prime up to
@@ -123,12 +165,13 @@ def _mark(spf: np.ndarray, lo: int, primes: list[int]) -> None:
         spf[max(p * p, -(-lo // p) * p) - lo:: p] = p
 
 
-def _spf_piece(lo: int, hi: int, primes: list[int]) -> np.ndarray:
-    """spf(n) for 2 <= lo <= n < hi, as int32, marked by :func:`_mark`."""
-    spf = np.zeros(hi - lo, dtype=np.int32)
+def _spf_piece(lo: int, hi: int, primes: Sequence[int]) -> np.ndarray:
+    """spf(n) for lo <= n < hi, as int32, marked by :func:`_mark`.
+
+    Every entry starts as n, which the primes (and 0 and 1) keep.
+    """
+    spf = np.arange(lo, hi, dtype=np.int32)
     _mark(spf, lo, primes)
-    unmarked = np.flatnonzero(spf == 0)
-    spf[unmarked] = unmarked + lo
     return spf
 
 
@@ -225,15 +268,16 @@ def _phi_factor(p, repeated):
     return p - 1 + repeated
 
 
-def _piece(lo: int, p: np.ndarray, spf: np.ndarray, tables, out) -> None:
+def _piece(lo: int, p: np.ndarray, tables, out) -> None:
     """Fill out[j][i] = f(m) * factor(p, r) for (f, factor) = tables[j].
 
     Here n = lo + i, p = p[i] = spf(n), m = n / p, and r tells whether p
-    divides m too, read as spf(m) = p from ``spf``, which like each f
-    must cover every m.
+    divides m too; each f must cover every m.  r is exact as m % p == 0:
+    every prime of m is at least p, so p divides m exactly when
+    spf(m) = p.
     """
     m = np.arange(lo, lo + p.size, dtype=np.int32) // p
-    repeated = spf[m] == p
+    repeated = m % p == 0
     for (f, factor), o in zip(tables, out):
         np.multiply(f[m], factor(p, repeated), out=o)
 
@@ -241,20 +285,21 @@ def _piece(lo: int, p: np.ndarray, spf: np.ndarray, tables, out) -> None:
 def _table(limit: int, sieve: ArithSieve, dtype, factor) -> np.ndarray:
     """Vector of f(n) for 0 <= n <= limit in ``dtype``, f(0) = 0, f(1) = 1.
 
-    For n >= 2, f(n) comes from f(m), m = n / spf(n), by :func:`_piece`.
-    One gather fills each piece [lo, hi): hi <= 2 * lo puts every
-    m < hi / 2 <= lo in an earlier one, and hi <= lo + SEGMENT bounds the
-    extra memory, whatever the limit.
+    For n >= 2, f(n) comes from f(m), m = n / spf(n), by :func:`_piece`,
+    with spf marked piece by piece by :func:`_spf_piece`, so the sieve's
+    spf table is never read.  One gather fills each piece [lo, hi):
+    hi <= 2 * lo puts every m < hi / 2 <= lo in an earlier one, and
+    hi <= lo + SEGMENT bounds the extra memory, whatever the limit.
     """
     if not 0 <= limit <= sieve.limit:
         raise ValueError(f"table limit {limit} outside 0..{sieve.limit}")
-    spf = sieve.spf
     f = np.zeros(limit + 1, dtype=dtype)
     f[1:2] = 1
     lo = 2
     while lo <= limit:
         hi = min(2 * lo, lo + SEGMENT, limit + 1)
-        _piece(lo, spf[lo:hi], spf, [(f, factor)], [f[lo:hi]])
+        spf = _spf_piece(lo, hi, sieve._marking_primes(hi - 1))
+        _piece(lo, spf, [(f, factor)], [f[lo:hi]])
         lo = hi
     return f
 
@@ -290,18 +335,17 @@ def table_pieces(limit: int, sieve: ArithSieve, mu: np.ndarray,
     at most SEGMENT entries, are views into them up to half.  Above it
     each piece is computed and dropped: n > half has m = n / spf(n)
     <= n / 2 <= half, so :func:`_piece` reads f(m) from the tables, with
-    spf(n) from :func:`_mark` over the primes up to isqrt(limit).
+    spf(n) from :func:`_spf_piece` over the primes up to isqrt(limit).
+    ``limit`` may reach 2 * sieve.limit + 1.
     """
     half = limit // 2
     for lo in range(2, half + 1, SEGMENT):
         hi = min(lo + SEGMENT, half + 1)
         yield lo, mu[lo:hi], phi[lo:hi]
-    primes = sieve.primes
-    primes = primes[:int(np.searchsorted(primes, math.isqrt(limit),
-                                         side="right"))].tolist()
+    primes = sieve._marking_primes(limit)
     tables = ((mu, _mu_factor), (phi, _phi_factor))
     for lo in range(max(half + 1, 2), limit + 1, SEGMENT):
         hi = min(lo + SEGMENT, limit + 1)
         out = np.empty(hi - lo, mu.dtype), np.empty(hi - lo, phi.dtype)
-        _piece(lo, _spf_piece(lo, hi, primes), sieve.spf, tables, out)
+        _piece(lo, _spf_piece(lo, hi, primes), tables, out)
         yield lo, *out

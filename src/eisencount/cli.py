@@ -84,6 +84,24 @@ def _all_digits():
             sys.set_int_max_str_digits(limit)
 
 
+# Most decimal digits an exact count may take.  CPython's int -> str is
+# quadratic: 0.15 s at 1e5 digits, 15 s at 1e6.
+MAX_COUNT_DIGITS = 10**5
+
+
+def _check_digits(variant: str, d: int, H: int) -> None:
+    """BudgetExceededError if the box (2H+1)^(d+k-1) has over MAX_COUNT_DIGITS.
+
+    The box bounds every count of the variant.  The exponent is compared
+    with a float, so d is never converted to one, however large.
+    """
+    base, exponent = 2 * H + 1, d + VARIANTS[variant] - 1
+    if exponent > MAX_COUNT_DIGITS / math.log10(base):
+        raise BudgetExceededError(
+            f"{variant} degree-{d} counts at height {H} are bounded by "
+            f"{base}^{exponent}, over the cap of {MAX_COUNT_DIGITS} digits")
+
+
 def _nth_prime_bound(n: int) -> int:
     """An upper bound for the n-th prime, safe for sieve sizing.
 
@@ -203,6 +221,7 @@ def cmd_count(cfg: CliConfig, degree, height, variant, method):
     fast_fn, brute_fn = _counters(variant)
     if method != "exact":  # refuse an oversized box before the sieve
         check_box(variant, degree, height, cfg.enumeration_budget)
+    _check_digits(variant, degree, height)
     if method in ("exact", "both"):
         sieve = _sieve_for(cfg, sieve_limit(variant, height))
         exact = fast_fn(degree, height, sieve).value
@@ -350,6 +369,7 @@ def cmd_error_term(cfg: CliConfig, variant, degree, heights, prime_count, fmt):
     """Profile exact counts against main terms along a height ladder."""
     needed = max(_nth_prime_bound(prime_count),
                  *(sieve_limit(variant, h) for h in heights))
+    _check_digits(variant, degree, max(heights))
     sieve = _sieve_for(cfg, needed)
     rows = report.error_term_profile(variant, degree, heights, sieve,
                                      prime_count=prime_count,

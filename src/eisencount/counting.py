@@ -129,13 +129,19 @@ def _add_psi(psi: np.ndarray, lo: int, H: int, mu: np.ndarray) -> None:
     the last j with H // (t*t*j) > 0.
     """
     hi, t_max = lo + psi.size, min(math.isqrt(H), H // lo)
+    # The quotients of every slice go through one buffer.  Fresh arrays
+    # of up to WINDOW int64 per slice would page-fault anew each time the
+    # allocator returned them to the system.
+    offsets = np.arange(min(WINDOW, psi.size))
+    q = np.empty_like(offsets)
     for t in (np.flatnonzero(mu[1:t_max + 1]) + 1).tolist():
         X, top = H // (t * t), (hi - 1) // t
         add = np.add if mu[t] > 0 else np.subtract
         for j in range(-(-lo // t), min(top, X) + 1, WINDOW):
             stop = min(j + WINDOW, top + 1, X + 1)
-            view = psi[t * j - lo:t * stop - lo:t]
-            add(view, X // np.arange(j, stop), out=view)
+            view, qj = psi[t * j - lo:t * stop - lo:t], q[:stop - j]
+            np.floor_divide(X, np.add(offsets[:stop - j], j, out=qj), out=qj)
+            add(view, qj, out=view)
 
 
 def _half_phi_H(lo: int, hi: int, r: int, lead: np.ndarray) -> np.ndarray:
@@ -143,9 +149,12 @@ def _half_phi_H(lo: int, hi: int, r: int, lead: np.ndarray) -> np.ndarray:
 
     ``lead[t]`` is mu(t) * (H // t).  Every divisor pair s = t * m is
     visited once: a slice over t for each m <= r, then a slice over the
-    m > r for each t.
+    m > r for each t.  G is int32, like ``lead``: a partial sum is at most
+    H times the product of (1 + 1/p) over the primes p of s, and an
+    s <= MAX_SIEVE_LIMIT has at most 8 primes, so it stays below
+    3.6 * H < 2^31.
     """
-    G = np.zeros(hi - lo, dtype=np.int64)
+    G = np.zeros(hi - lo, dtype=np.int32)
     for m in range(1, r + 1):
         t_lo, t_hi = -(-lo // m), (hi - 1) // m
         G[t_lo * m - lo::m] += lead[t_lo:t_hi + 1]
@@ -339,9 +348,10 @@ def _general_terms(H: int, sieve: ArithSieve):
     coefficients = [-int(mu[s]) * phi_bounded(s, H // s, sieve)
                     * phi_bounded(s, H, sieve)
                     for s in range(2, r + 1) if mu[s]]
-    # lead[t] = mu(t) * (H // t), filled a window at a time; int64, as mu
-    # is int8 and an in-place product would wrap.
-    lead = mu.astype(np.int64)
+    # lead[t] = mu(t) * (H // t), filled a window at a time.  int32 is
+    # exact, as |lead[t]| <= H <= MAX_SIEVE_LIMIT < 2^31, where int8 mu
+    # would wrap under the in-place product.
+    lead = mu.astype(np.int32)
     for lo in range(1, H + 1, WINDOW):
         lead[lo:lo + WINDOW] *= H // np.arange(lo, min(lo + WINDOW, H + 1))
     # Tail, s > r: a = H // s <= r is shared by runs of consecutive s, one

@@ -13,7 +13,11 @@ from eisencount import arith
 from eisencount.arith import (SEGMENT, build_sieve, euler_phi, factorize,
                               mobius, mobius_table, omega, phi_bounded, tau,
                               totient_table)
+from eisencount.counting import DIRECT_HEIGHT, count_monic_eisenstein
+from eisencount.density import (rho_product, rho_series, theta_product,
+                                theta_series)
 from eisencount.errors import BudgetExceededError
+from eisencount.report import density_table
 
 
 def test_build_sieve_small_table():
@@ -44,15 +48,26 @@ def test_build_sieve_rejects_bad_limits():
 
 
 def test_build_sieve_peak_memory_stays_near_its_result():
-    # The prime list comes from the marking pass itself: no full-length
-    # temporary beyond the spf table is allocated after it.
+    # build_sieve allocates neither array.  The prime list is marked a
+    # piece at a time into one array sized by Dusart's bound, so it peaks
+    # within two pieces of its result; spf is marked in place, with no
+    # full-length temporary beside it.
+    piece = SEGMENT * np.dtype(np.int32).itemsize
     tracemalloc.start()
     try:
         s = build_sieve(10**6)
-        _, peak = tracemalloc.get_traced_memory()
+        _, sieve_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        primes = s.primes
+        _, primes_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        spf = s.spf
+        _, spf_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * (s.spf.nbytes + s.primes.nbytes)
+    assert sieve_peak <= piece
+    assert primes_peak <= primes.nbytes + 2 * piece
+    assert spf_peak <= spf.nbytes + primes.nbytes + piece
 
 
 def _reference_sieve(limit):
@@ -77,6 +92,25 @@ def test_build_sieve_matches_the_compare_and_mask_sieve(limits):
         assert s.spf.dtype == spf.dtype and np.array_equal(s.spf, spf), limit
         assert (s.primes.dtype == primes.dtype
                 and np.array_equal(s.primes, primes)), limit
+
+
+def test_density_layer_never_builds_the_spf_table():
+    # The product reads the primes, the series and the monic count below
+    # DIRECT_HEIGHT their tables, which mark spf a piece at a time.
+    limit = 3 * SEGMENT + 5
+    s = build_sieve(limit)
+    for product in (theta_product, rho_product):
+        product(3, s, prime_count=2000)
+    for series in (theta_series, rho_series):
+        series(3, s, series_limit=2 * limit + 1)
+    density_table(2, 4, s, prime_count=2000)
+    count_monic_eisenstein(3, DIRECT_HEIGHT - 1, s)
+    assert "spf" not in vars(s)
+    spf, primes = _reference_sieve(limit)
+    assert s.spf.dtype == spf.dtype and np.array_equal(s.spf, spf)
+    assert np.array_equal(s.primes, primes)
+    with pytest.raises(ValueError):
+        s.spf[2] = 99
 
 
 def test_max_limit_cannot_raise_the_hard_cap(monkeypatch):

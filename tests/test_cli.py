@@ -180,6 +180,23 @@ def test_count_prints_a_count_past_the_int_digit_limit(runner, sieve):
         assert len(str(value)) == 6000
 
 
+@pytest.mark.parametrize("argv", [
+    ["count", "-d", "1000000", "-H", "100", "--variant", "monic"],
+    ["error-term", "--variant", "monic", "-d", "1000000", "--heights", "100"],
+    ["count", "-d", str(10**400), "-H", "1", "--variant", "general"],
+], ids=["count", "error-term", "huge-degree"])
+def test_count_past_the_digit_cap_is_refused_at_once(runner, monkeypatch,
+                                                    argv):
+    # A monic count at d = 10^6, H = 100 has about 2.3e6 digits.
+    _forbid(monkeypatch, "build_sieve")
+    start = time.perf_counter()
+    result = runner.invoke(cli.main, argv)
+    assert time.perf_counter() - start < 1
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert f"over the cap of {cli.MAX_COUNT_DIGITS} digits" in result.stderr
+
+
 @pytest.mark.parametrize("option", ["-d", "-H"])
 def test_count_option_past_the_int_digit_limit_exits_2(runner, option):
     values = {"-d": "3", "-H": "5", option: "9" * 5000}

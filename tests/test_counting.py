@@ -151,6 +151,17 @@ def test_window_sums_fit_in_int64():
     assert block_sum_bound(MAX_SIEVE_LIMIT) < 2**63
 
 
+def test_divisor_fill_fits_in_int32():
+    # _half_phi_H sums mu(t) * (H // t) over the divisors t of s in int32:
+    # at most H * prod over p | s of (1 + 1/p), and an s up to the cap has
+    # at most 8 primes.
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23]
+    assert math.prod(primes[:8]) <= MAX_SIEVE_LIMIT < math.prod(primes)
+    growth = math.prod(Fraction(p + 1, p) for p in primes[:8])
+    assert growth < Fraction(36, 10)
+    assert MAX_SIEVE_LIMIT * growth < 2**31
+
+
 @pytest.mark.parametrize("variant", sorted(COUNTERS))
 def test_per_modulus_calls_stop_at_square_root(variant, big_sieve, monkeypatch):
     # The general head calls phi_bounded twice per square-free s <= isqrt(H);

@@ -304,8 +304,10 @@ def _prime_at_most(n):
 
 def _sieve_of(primes):
     """A stand-in sieve that holds just these ascending primes."""
-    return ArithSieve(limit=max(primes, default=2), spf=np.zeros(0, np.int32),
-                      primes=np.array(primes, dtype=np.int64))
+    sieve = ArithSieve(limit=max(primes, default=2), root_primes=())
+    # Preset the cached property, which would otherwise mark every prime.
+    vars(sieve)["primes"] = np.array(primes, dtype=np.int64)
+    return sieve
 
 
 @settings(max_examples=150, deadline=None)
