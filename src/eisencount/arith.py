@@ -1,13 +1,13 @@
 """Sieve-backed multiplicative arithmetic functions.
 
-:class:`ArithSieve` covers the integers 2..limit and builds what it holds
-on first read, so a caller pays only for what it reads.  Its prime list
-serves the Euler product.  Its smallest-prime-factor (spf) table, 4
-bytes per integer, serves only the callers that factor single numbers:
-the scalar Moebius function, Euler totient, distinct prime count and
-divisor count, :func:`phi_bounded` (the exact count of integers in a
-symmetric interval coprime to a modulus, the building block of the
-polynomial counting formulas) and the monic counter's Mertens part.
+:class:`ArithSieve` covers the integers 2..limit.  Its root primes, every
+prime up to isqrt(2 * limit + 1), are its one prime source; the rest is
+built from them on first read, so a caller pays only for what it reads.
+The prime list serves the Euler product.  The scalar Moebius function,
+Euler totient, distinct prime count and divisor count and
+:func:`phi_bounded` (the exact count of integers in a symmetric interval
+coprime to a modulus, the building block of the polynomial counting
+formulas) factor their argument by trial division over the root primes.
 
 The bulk table versions of mu and phi, for callers that sweep a
 contiguous range, read neither array.  Each value comes from the one at
@@ -34,8 +34,8 @@ from .errors import BudgetExceededError
 
 DEFAULT_SIEVE_LIMIT = 10**7
 
-# Hard cap on sieve size.  Reading spf costs int32 entries, ~400 MB at the
-# cap; the prime list alone is about 46 MB there.
+# Hard cap on sieve size.  A general count there holds 5 bytes per modulus
+# (500 MB); the prime list alone is about 46 MB.
 MAX_SIEVE_LIMIT = 10**8
 
 # Width of the pieces the tables and the prime list are marked in.
@@ -47,7 +47,7 @@ SEGMENT = 1 << 16
 # equality both expensive and unhashable.
 @dataclass(frozen=True, eq=False)
 class ArithSieve:
-    """The primes and smallest prime factors of 2..limit, built on first read.
+    """The primes of 2..limit, from the root primes, built on first read.
 
     Attributes
     ----------
@@ -55,7 +55,7 @@ class ArithSieve:
         Largest integer covered.
     root_primes : tuple of int
         Every prime up to isqrt(2 * limit + 1): enough to mark any piece
-        that :func:`table_pieces` reaches.
+        that :func:`table_pieces` reaches and factor any n <= limit.
 
     ``primes`` and ``spf`` are cached properties: each array is built the
     first time it is read and marked read-only, so no caller can alter a
@@ -93,7 +93,7 @@ class ArithSieve:
         """``spf[n]``, the least prime dividing n, for 2 <= n <= limit.
 
         int32, by one :func:`_mark` pass over the whole table; entries 0
-        and 1 are unused and hold 0.
+        and 1 are unused and hold 0.  Nothing in eisencount reads it.
         """
         spf = _spf_piece(0, self.limit + 1, self._marking_primes(self.limit))
         spf[:2] = 0
@@ -182,33 +182,36 @@ class Factorization:
     pairs: tuple[tuple[int, int], ...]
 
 
-def _check_range(n: int, sieve: ArithSieve) -> None:
+def _prime_exponents(n: int, sieve: ArithSieve) -> Iterator[tuple[int, int]]:
+    """Yield (prime, exponent) pairs of n in ascending prime order.
+
+    Trial division by the root primes up to the first p with p * p > n;
+    the cofactor left above 1 is prime, as they reach isqrt(n).
+    """
     if not 1 <= n <= sieve.limit:
         raise ValueError(f"{n} outside sieve range 1..{sieve.limit}")
-
-
-def _prime_exponents(n: int, spf: np.ndarray) -> Iterator[tuple[int, int]]:
-    """Yield (prime, exponent) pairs of n in ascending prime order."""
-    while n > 1:
-        p = int(spf[n])
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        yield p, e
+    for p in sieve.root_primes:
+        if p * p > n:
+            break
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            yield p, e
+    if n > 1:
+        yield n, 1
 
 
 def factorize(n: int, sieve: ArithSieve) -> Factorization:
     """Factor n using the sieve; factorize(1) has an empty pair list."""
-    _check_range(n, sieve)
-    return Factorization(tuple(_prime_exponents(n, sieve.spf)))
+    return Factorization(tuple(_prime_exponents(n, sieve)))
 
 
 def mobius(n: int, sieve: ArithSieve) -> int:
     """Moebius function: (-1)^(distinct primes) if square-free, else 0."""
-    _check_range(n, sieve)
     sign = 1
-    for _p, e in _prime_exponents(n, sieve.spf):
+    for _p, e in _prime_exponents(n, sieve):
         if e > 1:
             return 0
         sign = -sign
@@ -217,17 +220,15 @@ def mobius(n: int, sieve: ArithSieve) -> int:
 
 def euler_phi(n: int, sieve: ArithSieve) -> int:
     """Euler totient: count of 1 <= k <= n coprime to n."""
-    _check_range(n, sieve)
     result = n
-    for p, _e in _prime_exponents(n, sieve.spf):
+    for p, _e in _prime_exponents(n, sieve):
         result -= result // p
     return result
 
 
 def omega(n: int, sieve: ArithSieve) -> int:
     """Number of distinct prime factors; omega(1) = 0."""
-    _check_range(n, sieve)
-    return sum(1 for _ in _prime_exponents(n, sieve.spf))
+    return sum(1 for _ in _prime_exponents(n, sieve))
 
 
 def tau(n: int, sieve: ArithSieve) -> int:
@@ -253,9 +254,8 @@ def phi_bounded(s: int, H: int, sieve: ArithSieve) -> int:
     """
     if H < 0:
         raise ValueError(f"H must be non-negative, got {H}")
-    _check_range(s, sieve)
     signed_divisors = [(1, 1)]
-    for p, _e in _prime_exponents(s, sieve.spf):
+    for p, _e in _prime_exponents(s, sieve):
         signed_divisors += [(t * p, -sign) for t, sign in signed_divisors]
     return sum(sign * (2 * (H // t) + 1) for t, sign in signed_divisors)
 

@@ -49,7 +49,7 @@ import math
 
 import numpy as np
 
-from .arith import ArithSieve, mobius_table, phi_bounded
+from .arith import ArithSieve, factorize, mobius_table, phi_bounded
 from .errors import BudgetExceededError, check_degree_height
 from .results import VARIANTS, ExactCount
 
@@ -241,7 +241,7 @@ def _direct_sum(H: int, A: int, mu: np.ndarray):
     return a, psi[H // a] - psi[H // (a + 1)]
 
 
-def _mertens_sum(H: int, A: int, mu: np.ndarray, spf: np.ndarray):
+def _mertens_sum(H: int, A: int, mu: np.ndarray, sieve: ArithSieve):
     """(a, c) for 1 <= a < A: c = sum of mu(s) * psi(s) over s with H // s = a.
 
     For each square-free t < A, Mt[a - t] = M_t(H // (t*a)) for t <= a <= A
@@ -253,10 +253,8 @@ def _mertens_sum(H: int, A: int, mu: np.ndarray, spf: np.ndarray):
     c = np.zeros(A, dtype=np.int64)
     for t in (np.flatnonzero(mu[1:A]) + 1).tolist():
         n = np.ones(1, dtype=np.int64)
-        rest, bound = t, H // (t * t)
-        while rest > 1:
-            p = int(spf[rest])
-            rest //= p
+        bound = H // (t * t)
+        for p, _e in factorize(t, sieve).pairs:
             parts, power = [n], n
             while (power := power[power <= bound // p] * p).size:
                 parts.append(power)
@@ -293,14 +291,20 @@ def count_monic_eisenstein(d: int, H: int, sieve: ArithSieve) -> ExactCount:
         MAX_MONIC_HEIGHT (BudgetExceededError above it).  ``sieve.limit``
         must reach ``sieve_limit("monic", H)``.
     """
+    return _exact_count("monic", d, H, sieve)
+
+
+def _exact_count(variant: str, d: int, H: int, sieve: ArithSieve):
+    """The count of either variant, after the checks both counters share."""
     check_degree_height(d, H)
-    needed = sieve_limit("monic", H)
+    needed = sieve_limit(variant, H)
     if needed > sieve.limit:
         raise ValueError(f"height {H} needs a sieve to {needed}, over the "
                          f"sieve limit {sieve.limit}")
-    return ExactCount(value=_evaluate(d, *_monic_terms(H, _split(H), sieve)),
-                      degree=d, height=H, variant="monic",
-                      method="inclusion_exclusion")
+    terms = (_monic_terms(H, _split(H), sieve) if variant == "monic"
+             else _general_terms(H, sieve))
+    return ExactCount(value=_evaluate(d, *terms), degree=d, height=H,
+                      variant=variant, method="inclusion_exclusion")
 
 
 def _monic_terms(H: int, A: int, sieve: ArithSieve):
@@ -311,7 +315,7 @@ def _monic_terms(H: int, A: int, sieve: ArithSieve):
     mu = mobius_table(H // A, sieve)
     values, coefficients = _direct_sum(H, A, mu)
     if A > 1:
-        above_values, above_coefficients = _mertens_sum(H, A, mu, sieve.spf)
+        above_values, above_coefficients = _mertens_sum(H, A, mu, sieve)
         values = np.concatenate((values, above_values))
         coefficients = np.concatenate((coefficients, above_coefficients))
     return values.tolist(), [-2 * c for c in coefficients.tolist()]
@@ -332,12 +336,7 @@ def count_general_eisenstein(d: int, H: int, sieve: ArithSieve) -> ExactCount:
     factors through :func:`_add_psi` and the divisor pairs of s.
     ``sieve.limit`` must reach H.
     """
-    check_degree_height(d, H)
-    if H > sieve.limit:
-        raise ValueError(f"height {H} exceeds sieve limit {sieve.limit}")
-    return ExactCount(value=_evaluate(d, *_general_terms(H, sieve)),
-                      degree=d, height=H, variant="general",
-                      method="inclusion_exclusion")
+    return _exact_count("general", d, H, sieve)
 
 
 def _general_terms(H: int, sieve: ArithSieve):

@@ -66,13 +66,12 @@ length b: these primes are at least 2^(b-1), so their floors are 0 by
 stage Q // (b-1) + 1, and the pieces' stage sums add up to the S(s).
 
 The series stores mu and phi only up to S // 2, and reads nothing else:
-the tables mark their own spf a piece at a time from the sieve's primes
-up to the square root, so neither route builds the sieve's spf table and
-the product reads only its prime list.  A modulus s in (S/2, S] with
-p = spf(s) has m = s / p <= s / 2 <= S / 2, and mu(s) and phi(s) follow
-from mu(m) and phi(m) by the tables' own recurrence.  So the moduli above
-S // 2 come in pieces of at most SEGMENT, each with its spf from marking
-the primes up to isqrt(S), filled, summed and dropped
+the tables mark their own spf a piece at a time from the sieve's root
+primes, and the product reads only its prime list.  A modulus s in
+(S/2, S] with p = spf(s) has m = s / p <= s / 2 <= S / 2, and mu(s) and
+phi(s) follow from mu(m) and phi(m) by the tables' own recurrence.  So
+the moduli above S // 2 come in pieces of at most SEGMENT, each with its
+spf from marking the primes up to isqrt(S), filled, summed and dropped
 (:func:`arith.table_pieces`).  The tables take 5 (S // 2 + 1) bytes, and
 a sieve with limit L serves every S <= 2L + 1.
 """

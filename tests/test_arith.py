@@ -6,18 +6,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eisencount import arith
 from eisencount.arith import (SEGMENT, build_sieve, euler_phi, factorize,
                               mobius, mobius_table, omega, phi_bounded, tau,
                               totient_table)
-from eisencount.counting import DIRECT_HEIGHT, count_monic_eisenstein
+from eisencount.counting import (DIRECT_HEIGHT, count_general_eisenstein,
+                                 count_monic_eisenstein)
 from eisencount.density import (rho_product, rho_series, theta_product,
                                 theta_series)
 from eisencount.errors import BudgetExceededError
-from eisencount.report import density_table
+from eisencount.report import density_table, error_term_profile
 
 
 def test_build_sieve_small_table():
@@ -94,9 +95,11 @@ def test_build_sieve_matches_the_compare_and_mask_sieve(limits):
                 and np.array_equal(s.primes, primes)), limit
 
 
-def test_density_layer_never_builds_the_spf_table():
-    # The product reads the primes, the series and the monic count below
-    # DIRECT_HEIGHT their tables, which mark spf a piece at a time.
+def test_no_computation_builds_the_spf_table():
+    # The product reads the primes, the series and the counts their
+    # tables, which mark spf a piece at a time; single integers (the
+    # scalar functions, the general head, the Mertens part of monic
+    # counts) are factored by the root primes.
     limit = 3 * SEGMENT + 5
     s = build_sieve(limit)
     for product in (theta_product, rho_product):
@@ -104,7 +107,14 @@ def test_density_layer_never_builds_the_spf_table():
     for series in (theta_series, rho_series):
         series(3, s, series_limit=2 * limit + 1)
     density_table(2, 4, s, prime_count=2000)
-    count_monic_eisenstein(3, DIRECT_HEIGHT - 1, s)
+    for H in (DIRECT_HEIGHT - 1, DIRECT_HEIGHT, limit):
+        count_monic_eisenstein(3, H, s)
+    count_general_eisenstein(3, limit, s)
+    for variant in ("monic", "general"):
+        error_term_profile(variant, 2, [100, 10**4], s, prime_count=2000)
+    for fn in (factorize, mobius, euler_phi, omega, tau):
+        fn(limit, s)
+    phi_bounded(limit, 10**6, s)
     assert "spf" not in vars(s)
     spf, primes = _reference_sieve(limit)
     assert s.spf.dtype == spf.dtype and np.array_equal(s.spf, spf)
@@ -165,6 +175,41 @@ def test_factorize_roundtrip_exhaustive(sieve):
         assert math.prod(p**e for p, e in f.pairs) == n
         primes = [p for p, _ in f.pairs]
         assert primes == sorted(set(primes))
+
+
+# Trial division ends either at 1 or at a prime cofactor.  The examples
+# take both ends of the range, the largest prime, the square of the
+# largest prime up to the square root, and twice the largest prime up to
+# half the limit, which is odd so that its half rounds down.
+ODD_LIMIT = 2 * SEGMENT + 3
+
+
+def _largest_prime_at_most(n):
+    return next(m for m in range(n, 1, -1)
+                if all(m % p for p in range(2, math.isqrt(m) + 1)))
+
+
+@pytest.fixture(scope="module")
+def odd_sieves():
+    return build_sieve(ODD_LIMIT), _reference_sieve(ODD_LIMIT)[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(min_value=1, max_value=ODD_LIMIT))
+@example(n=1)
+@example(n=ODD_LIMIT)
+@example(n=_largest_prime_at_most(ODD_LIMIT))
+@example(n=_largest_prime_at_most(math.isqrt(ODD_LIMIT)) ** 2)
+@example(n=2 * _largest_prime_at_most(ODD_LIMIT // 2))
+def test_factorize_matches_the_spf_walk(n, odd_sieves):
+    sieve, spf = odd_sieves
+    pairs, m = [], n
+    while m > 1:
+        p, e = int(spf[m]), 0
+        while m % p == 0:
+            m, e = m // p, e + 1
+        pairs.append((p, e))
+    assert factorize(n, sieve).pairs == tuple(pairs)
 
 
 def test_range_checks(sieve):
