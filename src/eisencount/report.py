@@ -147,6 +147,16 @@ def not_separated(est: DensityEstimate, precision_bits: int,
         f"[{float(est.lower):.3g}, {float(est.upper):.3g}]; raise {remedy}")
 
 
+def check_heights(heights: Sequence[int]) -> None:
+    """ValueError unless the heights are strictly increasing, each >= 2."""
+    if not heights:
+        raise ValueError("need at least one height")
+    if any(h < 2 for h in heights):
+        raise ValueError("heights must all be at least 2")
+    if any(b <= a for a, b in zip(heights, heights[1:])):
+        raise ValueError("heights must be strictly increasing")
+
+
 def error_term_profile(variant: str, d: int, heights: Sequence[int],
                        sieve: ArithSieve, *,
                        prime_count: int = DEFAULT_PRIME_COUNT,
@@ -168,13 +178,8 @@ def error_term_profile(variant: str, d: int, heights: Sequence[int],
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {tuple(VARIANTS)}")
-    if not heights:
-        raise ValueError("need at least one height")
     heights = list(heights)
-    if any(h < 2 for h in heights):
-        raise ValueError("heights must all be at least 2")
-    if any(b <= a for a, b in zip(heights, heights[1:])):
-        raise ValueError("heights must be strictly increasing")
+    check_heights(heights)
     monic = variant == "monic"
     product = theta_product if monic else rho_product
     constant = product(d, sieve, prime_count=prime_count,

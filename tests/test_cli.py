@@ -1,9 +1,13 @@
 """Command line contract tests: outputs, formats, exit codes, environment."""
 
+import gc
 import json
+import re
+import shlex
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -533,6 +537,24 @@ def test_error_term_height_one_exits_2(runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("heights, message", [
+    # Out of order: the top height is past the monic cap, which used to
+    # be refused (exit 3) before the order was looked at.
+    (f"3,2,{10 * MAX_MONIC_HEIGHT}", "heights must be strictly increasing"),
+    (f"1,{10 * MAX_MONIC_HEIGHT}", "heights must all be at least 2"),
+    # The contract is >= 2, not the counter's own >= 1.
+    ("0", "heights must all be at least 2"),
+], ids=["out-of-order-past-cap", "one-then-past-cap", "zero"])
+def test_error_term_bad_heights_exit_2_before_any_sizing(runner, monkeypatch,
+                                                         heights, message):
+    _forbid(monkeypatch, "sieve_limit", "build_sieve")
+    result = runner.invoke(cli.main, ["error-term", "--variant", "monic",
+                                      "-d", "3", "--heights", heights])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.endswith(f"Error: {message}\n")
+
+
 def test_error_term_rejects_garbage_heights(runner):
     for bad in ("10,x", "10;20", "", "30,20"):
         result = runner.invoke(cli.main, ["error-term", "--variant", "monic",
@@ -721,3 +743,36 @@ def test_group_options_read_their_four_variables(runner, parsed):
     [(cfg, _)] = parsed
     assert cfg == cli.CliConfig(sieve_limit=1000, enumeration_budget=7,
                                 precision_bits=200, output_format="json")
+
+
+def _readme_examples():
+    """(argv, printed lines) of each ``$ eisencount`` example in README's
+    "Command line" section."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"```sh\n(.*?)```", section, re.S)[1]
+    examples = re.findall(r"^\$ eisencount (.*)\n((?:.+\n)*)", block, re.M)
+    return [(shlex.split(command), lines.splitlines())
+            for command, lines in examples]
+
+
+def test_readme_lists_five_examples():
+    assert len(_readme_examples()) == 5
+
+
+@pytest.mark.parametrize("argv, lines", [
+    pytest.param(argv, lines, id=argv[0])
+    for argv, lines in _readme_examples()])
+def test_readme_example_prints_what_readme_shows(runner, argv, lines):
+    result = runner.invoke(cli.main, argv)
+    assert result.exit_code == 0
+    assert result.stdout.splitlines() == lines
+
+
+def test_invoking_main_leaves_the_collector_alone(runner):
+    frozen = gc.get_freeze_count()
+    result = runner.invoke(cli.main, ["count", "-d", "2", "-H", "2",
+                                      "--variant", "monic"])
+    assert result.exit_code == 0
+    assert gc.isenabled()
+    assert gc.get_freeze_count() == frozen

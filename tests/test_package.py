@@ -1,8 +1,11 @@
-"""The package's export list and what importing it does to the process."""
+"""The package's export list, and what importing it and running its
+console entry do to the process."""
 
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -44,3 +47,62 @@ def test_import_starts_no_blas_worker_threads():
 def test_import_keeps_a_caller_set_blas_thread_count():
     assert _after_import("print(os.environ['OPENBLAS_NUM_THREADS'])",
                          OPENBLAS_NUM_THREADS="3") == "3\n"
+
+
+def test_import_leaves_the_collector_alone():
+    assert _after_import("import gc, eisencount.cli; "
+                         "print(gc.isenabled(), gc.get_freeze_count())"
+                         ) == "True 0\n"
+
+
+def _run_cli(*argv, prelude=""):
+    """Run ``prelude``, then eisencount.cli as __main__ with ``argv``, in a
+    fresh interpreter; return the finished process."""
+    src = os.path.dirname(os.path.dirname(eisencount.__file__))
+    env = {k: v for k, v in os.environ.items() if not k.startswith("EISEN_")}
+    code = (f"{prelude}\nimport runpy, sys\nsys.argv[1:] = {list(argv)!r}\n"
+            "runpy.run_module('eisencount.cli', run_name='__main__')")
+    return subprocess.run([sys.executable, "-c", code],
+                          env={**env, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_cli_entry_exits_with_the_import_heap_frozen():
+    # An atexit hook runs after click's SystemExit, so this also shows that
+    # exit handlers and the stdout flush still run.
+    done = _run_cli("count", "-d", "2", "-H", "2", "--variant", "monic",
+                    prelude="import atexit, gc; atexit.register(lambda: "
+                            "print('frozen', gc.get_freeze_count()))")
+    assert done.returncode == 0, done.stderr
+    count, frozen = done.stdout.splitlines()
+    assert count == "6"
+    assert re.fullmatch(r"frozen [1-9]\d*", frozen)
+
+
+# A library result outside the possible range: a broken invariant.
+IMPOSSIBLE = """
+from eisencount import counting, results
+counting.count_monic_eisenstein = lambda d, H, sieve: results.ExactCount(
+    value=-1, degree=d, height=H, variant="monic",
+    method="inclusion_exclusion")
+"""
+
+
+@pytest.mark.parametrize("argv, prelude, code", [
+    (["count", "-d", "2", "-H", "2", "--variant", "monic"], "", 0),
+    (["count", "-d", "1", "-H", "2", "--variant", "monic"], "", 2),
+    (["--enumeration-budget", "1", "count", "-d", "2", "-H", "2",
+      "--variant", "monic", "--method", "brute"], "", 3),
+    (["count", "-d", "2", "-H", "2", "--variant", "monic"], IMPOSSIBLE, 4),
+], ids=["ok", "usage", "refusal", "invariant"])
+def test_cli_entry_keeps_the_exit_codes(argv, prelude, code):
+    assert _run_cli(*argv, prelude=prelude).returncode == code
+
+
+def test_console_script_and_main_block_call_the_same_entry():
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    # Read as text: tomllib is 3.11+, and 3.10 is supported.
+    [entry] = re.findall(r'^eisencount = "eisencount\.cli:(\w+)"$', pyproject,
+                         re.M)
+    source = Path(eisencount.__file__).with_name("cli.py").read_text()
+    assert source.endswith(f'\nif __name__ == "__main__":\n    {entry}()\n')
