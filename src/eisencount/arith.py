@@ -16,8 +16,8 @@ square root that :func:`build_sieve` keeps, in O(SEGMENT) memory beyond
 the result.  The tables are as narrow as their values: int8 for mu and
 int32 for phi (phi(n) < n <= 2 * MAX_SIEVE_LIMIT + 1 < 2^31), 5 bytes
 per entry, so callers widen them before they multiply.
-:func:`table_pieces` streams both up to twice a table's limit, from the
-tables and the same recurrence.
+:func:`odd_table_pieces` streams both at the odd n up to three times a
+table's limit, from the tables and the same recurrence.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ class ArithSieve:
         Largest integer covered.
     root_primes : tuple of int
         Every prime up to isqrt(2 * limit + 1): enough to mark any piece
-        that :func:`table_pieces` reaches and factor any n <= limit.
+        that :func:`odd_table_pieces` reaches and factor any n <= limit.
 
     ``primes`` and ``spf`` are cached properties: each array is built the
     first time it is read and marked read-only, so no caller can alter a
@@ -153,25 +153,32 @@ def build_sieve(limit: int = DEFAULT_SIEVE_LIMIT, *,
                       root_primes=tuple(np.flatnonzero(small).tolist()))
 
 
-def _mark(spf: np.ndarray, lo: int, primes: Sequence[int]) -> None:
-    """Set spf[n - lo] to spf(n) for the composites n of lo..lo+spf.size-1.
+def _mark(spf: np.ndarray, lo: int, primes: Sequence[int],
+          step: int = 1) -> None:
+    """Set spf[i] to spf(n), n = lo + step * i, for the composites n listed.
 
     Each of the ascending ``primes``, which must hold every prime up to
     the square root of the piece's end, marks its multiples from the
     larger of p*p and its first multiple >= lo, largest first, so the
-    smallest prime factor writes last.  Entries of primes stay as they were.
+    smallest prime factor writes last.  Entries of primes stay as they
+    were.  With step 2 the piece holds the odd n from an odd lo, the
+    primes must be odd, and p marks its odd multiples, 2p apart.
     """
     for p in reversed(primes):
-        spf[max(p * p, -(-lo // p) * p) - lo:: p] = p
+        first = max(p * p, -(-lo // p) * p)
+        if (first - lo) % step:
+            first += p
+        spf[(first - lo) // step:: p] = p
 
 
-def _spf_piece(lo: int, hi: int, primes: Sequence[int]) -> np.ndarray:
-    """spf(n) for lo <= n < hi, as int32, marked by :func:`_mark`.
+def _spf_piece(lo: int, hi: int, primes: Sequence[int],
+               step: int = 1) -> np.ndarray:
+    """spf(n) for n in range(lo, hi, step), as int32, marked by :func:`_mark`.
 
     Every entry starts as n, which the primes (and 0 and 1) keep.
     """
-    spf = np.arange(lo, hi, dtype=np.int32)
-    _mark(spf, lo, primes)
+    spf = np.arange(lo, hi, step, dtype=np.int32)
+    _mark(spf, lo, primes, step)
     return spf
 
 
@@ -268,15 +275,15 @@ def _phi_factor(p, repeated):
     return p - 1 + repeated
 
 
-def _piece(lo: int, p: np.ndarray, tables, out) -> None:
+def _piece(lo: int, p: np.ndarray, tables, out, step: int = 1) -> None:
     """Fill out[j][i] = f(m) * factor(p, r) for (f, factor) = tables[j].
 
-    Here n = lo + i, p = p[i] = spf(n), m = n / p, and r tells whether p
-    divides m too; each f must cover every m.  r is exact as m % p == 0:
-    every prime of m is at least p, so p divides m exactly when
-    spf(m) = p.
+    Here n = lo + step * i, p = p[i] = spf(n), m = n / p, and r tells
+    whether p divides m too; each f must cover every m.  r is exact as
+    m % p == 0: every prime of m is at least p, so p divides m exactly
+    when spf(m) = p.
     """
-    m = np.arange(lo, lo + p.size, dtype=np.int32) // p
+    m = np.arange(lo, lo + step * p.size, step, dtype=np.int32) // p
     repeated = m % p == 0
     for (f, factor), o in zip(tables, out):
         np.multiply(f[m], factor(p, repeated), out=o)
@@ -325,27 +332,28 @@ def totient_table(limit: int, sieve: ArithSieve) -> np.ndarray:
     return _table(limit, sieve, np.int32, _phi_factor)
 
 
-def table_pieces(limit: int, sieve: ArithSieve, mu: np.ndarray,
-                 phi: np.ndarray) -> Iterator[tuple[int, np.ndarray,
-                                                    np.ndarray]]:
-    """Yield (lo, mu(lo..hi-1), phi(lo..hi-1)) over pieces covering 2..limit.
+def odd_table_pieces(limit: int, sieve: ArithSieve, mu: np.ndarray,
+                     phi: np.ndarray) -> Iterator[tuple[int, np.ndarray,
+                                                        np.ndarray]]:
+    """Yield (lo, mu, phi) over pieces covering the odd n of 3..limit.
 
-    ``mu`` and ``phi`` are :func:`mobius_table` and :func:`totient_table`
-    to at least half = limit // 2.  The pieces, in ascending order and of
-    at most SEGMENT entries, are views into them up to half.  Above it
-    each piece is computed and dropped: n > half has m = n / spf(n)
-    <= n / 2 <= half, so :func:`_piece` reads f(m) from the tables, with
-    spf(n) from :func:`_spf_piece` over the primes up to isqrt(limit).
-    ``limit`` may reach 2 * sieve.limit + 1.
+    Entry i of a piece is n = lo + 2i.  ``mu`` and ``phi`` are
+    :func:`mobius_table` and :func:`totient_table` to at least third =
+    limit // 3.  The pieces, in ascending order and of at most SEGMENT
+    entries, are views into them, with stride 2, up to third.  Above it
+    each piece is computed and dropped: an odd n has spf(n) >= 3, so
+    m = n / spf(n) <= n / 3 <= third, and :func:`_piece` reads f(m) from
+    the tables, with spf(n) from :func:`_spf_piece` over the odd primes
+    up to isqrt(limit).  ``limit`` may reach 2 * sieve.limit + 1.
     """
-    half = limit // 2
-    for lo in range(2, half + 1, SEGMENT):
-        hi = min(lo + SEGMENT, half + 1)
-        yield lo, mu[lo:hi], phi[lo:hi]
-    primes = sieve._marking_primes(limit)
+    third = limit // 3
+    for lo in range(3, third + 1, 2 * SEGMENT):
+        hi = min(lo + 2 * SEGMENT, third + 1)
+        yield lo, mu[lo:hi:2], phi[lo:hi:2]
+    primes = sieve._marking_primes(limit)[1:]  # all but 2
     tables = ((mu, _mu_factor), (phi, _phi_factor))
-    for lo in range(max(half + 1, 2), limit + 1, SEGMENT):
-        hi = min(lo + SEGMENT, limit + 1)
-        out = np.empty(hi - lo, mu.dtype), np.empty(hi - lo, phi.dtype)
-        _piece(lo, _spf_piece(lo, hi, primes), tables, out)
+    for lo in range(max((third + 1) | 1, 3), limit + 1, 2 * SEGMENT):
+        spf = _spf_piece(lo, min(lo + 2 * SEGMENT, limit + 1), primes, 2)
+        out = np.empty(spf.size, mu.dtype), np.empty(spf.size, phi.dtype)
+        _piece(lo, spf, tables, out, 2)
         yield lo, *out

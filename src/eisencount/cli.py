@@ -259,7 +259,8 @@ def cmd_density(cfg: CliConfig, degree, kind, prime_count, series_limit,
         if value is not None and not used:
             raise click.UsageError(f"{flag} does not apply to --method {method}")
     # One sieve sized for every route, so a refusal comes before any work:
-    # the product reads its primes, the series the sieve only to S // 2.
+    # the product reads its primes, the series the root primes to isqrt(S),
+    # which a sieve to S // 2 holds.
     sizes = []
     if product:
         prime_count = prime_count or DEFAULT_PRIME_COUNT
@@ -386,12 +387,11 @@ def run() -> None:
     A command's process exits soon after it starts, and the interpreter's
     exit collection would walk the ~22,600 container objects alive once
     numpy, click and eisencount are loaded.  Frozen objects are never
-    collected, so one full collection runs first and pins nothing the
-    imports left unreachable.  A library import, or a caller of ``main``
-    (click's CliRunner, an in-process benchmark), leaves the collector
-    alone.
+    collected.  No collection runs before the freeze: after the imports
+    one finds no unreachable object, and it would cost a full walk of
+    the same heap.  A library import, or a caller of ``main`` (click's
+    CliRunner, an in-process benchmark), leaves the collector alone.
     """
-    gc.collect()
     gc.freeze()
     main()
 

@@ -45,35 +45,50 @@ the primes and Q, so a table reuses one pass for all its constants.
 Both routes take their floors from one long division.  Since
 floor(floor(x/a)/b) = floor(x/(ab)), floor(numer * 2^P / s^e) comes from
 e successive divisions by s, in uint64 numpy over up to SEGMENT terms at
-once.  The numerator streams by as base-2^32 limbs, most significant
-first (at most three non-zero, as numer < 2^56, then P//32 zero limbs),
-through e stages that each keep one remainder per term.  A stage computes
-rem * 2^32 + limb < s * 2^32 < 2^60, exact because s <= 2 *
-MAX_SIEVE_LIMIT + 1 < 2^28 (the series' bound; see below), and stage j
-passes on the limbs of floor(numer * 2^P / s^j), summed column by
-column, each column below SEGMENT * 2^32 = 2^48, into a Python integer.
-A term is inexact exactly when some stage leaves a non-zero remainder.  The extra memory is e remainder arrays of one
-segment, whatever P.  A stage with remainders all still 0 passes 0 limbs
-on, and takes a limb below s for every term as its remainder, passing 0
-on.  The series takes the last stage, numer = phi(s)^k and e = d+k: a
-term at d = 2 and 96 bits takes 8 divisions for theta and 12 for rho,
-not 12 and 20.  A term with bitlen(phi^k) + P <= (d+k) * (bitlen(s) - 1)
-is below 1, so it skips the stages: its quotient is 0 and it is inexact.
-At 96 bits that is no term at d = 2, 99.9% of the terms below 10^6 at
-d = 10 and every term from d = 97 on.  The product takes every stage,
-numer = 1 and P = Q, over pieces of at most SEGMENT primes of one bit
-length b: these primes are at least 2^(b-1), so their floors are 0 by
-stage Q // (b-1) + 1, and the pieces' stage sums add up to the S(s).
+once.  The numerator streams by as base-2^L limbs, most significant
+first: those of numer * 2^(P mod L), at most three non-zero as numer <
+2^56, then P // L zero limbs.  Each call takes L = min(48, 64 -
+bitlen(max s)), so a stage's rem * 2^L + limb < s * 2^L <= 2^64 is
+exact, and s <= 2 * MAX_SIEVE_LIMIT + 1 < 2^28 (the series' bound; see
+below) keeps L >= 36.  Stage j passes on the limbs of floor(numer * 2^P
+/ s^j), each below 2^L <= 2^48, so a column of at most SEGMENT = 2^16
+of them sums below 2^64 in uint64 before it joins a Python integer.  A
+term is inexact exactly when some stage leaves a non-zero remainder.
+The last stage also sums its floors q mod 2^e, from the limbs below bit
+e (several when e > L), and flags the terms where that is non-zero.  The
+extra memory is e remainder arrays of one segment, whatever P.  A stage
+with remainders all still 0 passes 0 limbs on, and takes a limb below s
+for every term as its remainder, passing 0 on.  The series takes the
+last stage, numer = phi(s)^k and e = d+k.  A term with bitlen(phi^k) + P
+<= (d+k) * (bitlen(s) - 1) is below 1, so it skips the stages: its
+quotient is 0 and it is inexact.  At 96 bits that is no term at d = 2,
+99.9% of the terms below 10^6 at d = 10 and every term from d = 97 on.
+The product takes every stage, numer = 1 and P = Q, over pieces of at
+most SEGMENT primes of one bit length b: these primes are at least
+2^(b-1), so their floors are 0 by stage Q // (b-1) + 1, and the pieces'
+stage sums add up to the S(s).
 
-The series stores mu and phi only up to S // 2, and reads nothing else:
+The series divides only at odd s.  An even square-free s = 2m has m odd,
+mu(2m) = -mu(m) and phi(2m) = phi(m), so its floor is q(2m) =
+floor(q(m) / 2^e) = q(m) >> e, inexact exactly when q(m) is or q(m) mod
+2^e != 0.  Each odd m <= S / 2 adds its partner 2m with the opposite
+sign: the sum of the q(2m) is that of the q(m) less that of the q(m) mod
+2^e, over 2^e.  The one even term whose half is no term, s = 2 from
+m = 1, has the floor 2^(P-e), exact when P >= e.  At d = 2 and 96 bits
+an odd term takes 7 divisions for theta and 10 for rho on average, and
+its partner none: 4.7 and 6.7 a term, not 8 and 12.
+
+The series stores mu and phi only up to S // 3, and reads nothing else:
 the tables mark their own spf a piece at a time from the sieve's root
-primes, and the product reads only its prime list.  A modulus s in
-(S/2, S] with p = spf(s) has m = s / p <= s / 2 <= S / 2, and mu(s) and
-phi(s) follow from mu(m) and phi(m) by the tables' own recurrence.  So
-the moduli above S // 2 come in pieces of at most SEGMENT, each with its
-spf from marking the primes up to isqrt(S), filled, summed and dropped
-(:func:`arith.table_pieces`).  The tables take 5 (S // 2 + 1) bytes, and
-a sieve with limit L serves every S <= 2L + 1.
+primes, and the product reads only its prime list.  An odd s has p =
+spf(s) >= 3, so m = s / p <= S / 3, and mu(s) and phi(s) follow from
+mu(m) and phi(m) by the tables' own recurrence.  So the odd moduli up to
+S // 3 are read from the tables with stride 2, and those above come in
+pieces of at most SEGMENT, each with its spf from marking the odd primes
+up to isqrt(S) at stride 2p, filled, summed and dropped
+(:func:`arith.odd_table_pieces`).  The tables take 5 (S // 3 + 1) bytes,
+and a sieve to n serves every S <= 2n + 1, as its root primes reach
+isqrt(2n + 1).
 """
 
 from __future__ import annotations
@@ -86,7 +101,7 @@ from math import comb
 
 import numpy as np
 
-from .arith import (SEGMENT, ArithSieve, mobius_table, table_pieces,
+from .arith import (SEGMENT, ArithSieve, mobius_table, odd_table_pieces,
                     totient_table)
 from .errors import InvariantError, check_degree
 
@@ -151,32 +166,46 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-_LIMB = np.uint64(32)
-_LIMB_MASK = np.uint64(2**32 - 1)
-
-
 def _stage_sums(numer: np.ndarray, s: np.ndarray, expo: int,
-                precision_bits: int) -> tuple[list[int], int]:
+                precision_bits: int) -> tuple[list[int], np.ndarray, int,
+                                              np.ndarray]:
     """Sums of floor(numer * 2^precision_bits / s^j) for j = 1..expo.
 
-    Also returns the number of terms whose last division is inexact.
-    ``numer`` (1 <= numer < 2^56) and ``s`` (2 <= s < 2^28) are uint64
-    arrays of equal length; see the module docstring.
+    Also returns, for the last stage's floors q, a flag per term that is
+    set when some division leaves a remainder (q is inexact), the sum of
+    q mod 2^expo and a flag per term for q mod 2^expo != 0.  ``numer``
+    (1 <= numer < 2^56) and ``s`` (2 <= s < 2^28) are uint64 arrays of
+    equal length, at most SEGMENT; see the module docstring.
     """
-    # numer * 2^(P mod 32) in three limbs; a shift wraps only masked bits.
-    shift = np.uint64(precision_bits % 32)
-    upper = numer >> (_LIMB - shift)
-    head = [upper >> _LIMB, upper & _LIMB_MASK, (numer << shift) & _LIMB_MASK]
+    width = min(48, 64 - int(s.max(initial=0)).bit_length())
+    mask = np.uint64((1 << width) - 1)
+    # numer * 2^(P mod width) takes count limbs, then P // width zero ones.
+    shift = precision_bits % width
+    count = max(1, _ceil_div(int(numer.max(initial=0)).bit_length() + shift,
+                             width))
+    limbs = count + precision_bits // width
     rems = np.zeros((expo, s.size), np.uint64)
-    wide = np.empty_like(s)
+    limb = np.empty_like(s)
     quotient = np.empty_like(s)
+    low, low_flags = 0, np.zeros(s.size, bool)
     # Stages start in order, each on the first non-zero limb it receives;
     # digit is None while the limb is known to be 0.
     started = 0
     totals = [0] * expo
-    for i in range(len(head) + precision_bits // 32):
-        totals = [total << 32 for total in totals]
-        digit = head[i] if i < len(head) and head[i].any() else None
+    for i in range(limbs):
+        totals = [total << width for total in totals]
+        digit = None
+        if i < count:
+            # Limb i of numer * 2^shift starts at bit width * (count-1-i);
+            # a left shift wraps only masked bits.
+            up = width * (count - 1 - i) - shift
+            if up > 0:
+                np.right_shift(numer, np.uint64(up), out=limb)
+            else:
+                np.left_shift(numer, np.uint64(-up), out=limb)
+            limb &= mask
+            if limb.any():
+                digit = limb
         for j, rem in enumerate(rems):
             if j == started:
                 if digit is None:
@@ -185,31 +214,43 @@ def _stage_sums(numer: np.ndarray, s: np.ndarray, expo: int,
                 if (digit < s).all():
                     rem[:] = digit
                     break
-            np.left_shift(rem, _LIMB, out=wide)
+            np.left_shift(rem, np.uint64(width), out=rem)
             if digit is not None:
-                wide += digit
+                rem += digit
             digit = quotient
-            np.divmod(wide, s, out=(digit, rem))
+            np.divmod(rem, s, out=(digit, rem))
             totals[j] += int(digit.sum())
-    return totals, int(np.count_nonzero(rems.any(axis=0)))
+        else:
+            # The last stage passed on a limb of q; its bits below expo
+            # count towards q mod 2^expo.
+            bit = (limbs - 1 - i) * width
+            if bit < expo:
+                if expo - bit < width:
+                    digit &= np.uint64((1 << (expo - bit)) - 1)
+                low += int(digit.sum()) << bit
+                low_flags |= digit != 0
+    return totals, rems.any(axis=0), low, low_flags
 
 
 def _floor_sum(numer: np.ndarray, s: np.ndarray, expo: int,
-               precision_bits: int) -> tuple[int, int]:
-    """Sum of floor(numer * 2^precision_bits / s^expo) over the terms.
+               precision_bits: int) -> tuple[int, int, int, int]:
+    """Sums of q = floor(numer * 2^precision_bits / s^expo) and of q >> expo.
 
-    Returns that sum and the number of terms whose division is inexact.
-    ``numer`` (below 2^56) and ``s`` (2 <= s < 2^28) are integer arrays
-    of equal length, as for :func:`_stage_sums`.
+    q >> expo is the floor at the modulus 2s, as floor(floor(x) / 2^e) =
+    floor(x / 2^e).  Each sum is followed by the number of its terms
+    whose division is inexact: at 2s, those inexact at s or whose q
+    has a non-zero bit below expo.  ``numer`` (below 2^56) and ``s``
+    (2 <= s < 2^28) are integer arrays of equal length, as for
+    :func:`_stage_sums`.
     """
     numer = numer.astype(np.uint64, copy=False)
-    s = s.astype(np.uint64)
+    s = s.astype(np.uint64, copy=False)
     # A term with numer < 2^room, room = expo * (bitlen(s) - 1) - P, is
     # below 2^(room+P) <= s^expo: its quotient is 0 and, as numer >= 1, it
-    # is inexact, so it skips the stages.  No term can when the largest s
-    # leaves room < 1, as at d = 2.  frexp gives bitlen(s) exactly, as
-    # s < 2^28 is exact in float64; clipping room to 0..63 changes no
-    # comparison, as 1 <= numer < 2^56.
+    # is inexact at s and at 2s, so it skips the stages.  No term can when
+    # the largest s leaves room < 1, as at d = 2.  frexp gives bitlen(s)
+    # exactly, as s < 2^28 is exact in float64; clipping room to 0..63
+    # changes no comparison, as 1 <= numer < 2^56.
     dropped = 0
     if s.size and expo * (int(s.max()).bit_length() - 1) > precision_bits:
         room = expo * (np.frexp(s.astype(np.float64))[1].astype(np.int64) - 1)
@@ -217,8 +258,11 @@ def _floor_sum(numer: np.ndarray, s: np.ndarray, expo: int,
         small = numer < np.left_shift(np.uint64(1), room)
         dropped = int(np.count_nonzero(small))
         numer, s = numer[~small], s[~small]
-    totals, inexact = _stage_sums(numer, s, expo, precision_bits)
-    return totals[-1], dropped + inexact
+    totals, inexact, low, low_flags = _stage_sums(numer, s, expo,
+                                                  precision_bits)
+    return (totals[-1], dropped + int(np.count_nonzero(inexact)),
+            (totals[-1] - low) >> expo,
+            dropped + int(np.count_nonzero(inexact | low_flags)))
 
 
 def _prime_power_sums(sieve: ArithSieve, first: int, stop: int,
@@ -244,8 +288,8 @@ def _cached_power_sums(sieve: weakref.ref, first: int, stop: int,
     for b in range(2, top + 1):
         for at in range(edges[b - 1], edges[b], SEGMENT):
             p = primes[at:min(at + SEGMENT, edges[b])].astype(np.uint64)
-            totals, _ = _stage_sums(np.ones_like(p), p, bits // (b - 1) + 1,
-                                    bits)
+            totals = _stage_sums(np.ones_like(p), p, bits // (b - 1) + 1,
+                                 bits)[0]
             for s, total in enumerate(totals, start=1):
                 sums[s] += total
     return tuple(sums[:sums.index(0) + 1])
@@ -381,20 +425,47 @@ def _series_estimate(kind: str, d: int, sieve: ArithSieve, series_limit: int,
     one = 1 << precision_bits
     k = POWERS[kind]
     expo = d + k
-    lo = hi = 0
-    mu = mobius_table(half, sieve)
-    phi = totient_table(half, sieve)
-    for start, signs, totients in table_pieces(series_limit, sieve, mu, phi):
-        # Where mu(s) = sign the terms -mu(s) phi(s)^k / s^(d+k) add -sign
-        # times a sum in [q, q + inexact]; lo takes its low end, hi its high.
-        # Widened from int32 to uint64, phi(s)^k is exact: phi(s) < s <=
+    third = series_limit // 3
+    mu = mobius_table(third, sieve)
+    phi = totient_table(third, sieve)
+    # sums[sign] = [sum of floors, inexact terms] over the moduli s with
+    # mu(s) = sign.  s = 2 pairs with m = 1, which is no term: its floor
+    # is 2^(P-e), inexact when P < e.
+    sums = {-1: [0, 0], 1: [0, 0]}
+    if series_limit >= 2:
+        sums[-1] = [one >> expo, int(precision_bits < expo)]
+    for start, signs, totients in odd_table_pieces(series_limit, sieve, mu,
+                                                   phi):
+        # Entry i is s = start + 2i.  An odd s <= S // 2 also stands for
+        # 2s, with mu(2s) = -mu(s) and phi(2s) = phi(s).  Widened from
+        # int32 to uint64, phi(s)^k is exact: phi(s) < s <=
         # 2 * MAX_SIEVE_LIMIT + 1, so phi(s)^2 < 2^56.
-        for sign in (-1, 1):
-            at = np.flatnonzero(signs == sign)
-            numer = totients[at].astype(np.uint64) ** k
-            q, inexact = _floor_sum(numer, at + start, expo, precision_bits)
-            lo -= sign * q + (sign > 0) * inexact
-            hi -= sign * q - (sign < 0) * inexact
+        paired = min(max((half - start) // 2 + 1, 0), signs.size)
+        for begin, end, pairs in ((0, paired, True),
+                                  (paired, signs.size, False)):
+            for sign in (-1, 1):
+                at = np.flatnonzero(signs[begin:end] == sign)
+                if not at.size:
+                    continue
+                at += begin
+                numer = totients[at].astype(np.uint64)
+                numer **= k
+                # at becomes the moduli s in place.
+                at *= 2
+                at += start
+                q, inexact, q2, inexact2 = _floor_sum(
+                    numer, at.view(np.uint64), expo, precision_bits)
+                sums[sign][0] += q
+                sums[sign][1] += inexact
+                if pairs:
+                    sums[-sign][0] += q2
+                    sums[-sign][1] += inexact2
+    # Where mu(s) = sign the terms -mu(s) phi(s)^k / s^(d+k) add -sign
+    # times a sum in [q, q + inexact]; lo takes its low end, hi its high.
+    lo = hi = 0
+    for sign, (q, inexact) in sums.items():
+        lo -= sign * q + (sign > 0) * inexact
+        hi -= sign * q - (sign < 0) * inexact
 
     # Tail: each summand is below 1/s^d in absolute value, so the omitted
     # part is within sum over s > S of 1/s^d <= 1 / ((d-1) S^(d-1)).

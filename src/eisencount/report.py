@@ -173,7 +173,7 @@ def error_term_profile(variant: str, d: int, heights: Sequence[int],
     count.  The residual and ratio are computed from the point value
     alone; the width of the constant's bracket is not carried into them,
     and it can exceed the residual (monic d = 2 with 1e4 primes: residual
-    1.08e4 at H = 1e5, main-term bracket 5.7e5 wide).  ROADMAP item 1
+    1.08e4 at H = 1e5, main-term bracket 5.7e5 wide).  ROADMAP item 3
     carries the residual as an interval instead.
     """
     if variant not in VARIANTS:

@@ -74,19 +74,21 @@ def test_series_reaches_each_table_once_through_its_traced_name(
         monkeypatch, sieve, series):
     # density-heavy expects arith.mobius_table and arith.totient_table
     # spans, which exist only if the series calls the very functions that
-    # spans.py finds, by identity, in the density namespace.
+    # spans.py finds, by identity, in the density namespace.  Each table
+    # stops at S // 3: the odd moduli above it come from pieces.
     calls = Counter()
     for name in ("mobius_table", "totient_table"):
         original = getattr(density, name)
         assert original is getattr(arith, name), name
 
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
+        def counted(limit, *args, _name=name, _original=original, **kwargs):
+            calls[_name, limit] += 1
+            return _original(limit, *args, **kwargs)
 
         monkeypatch.setattr(density, name, counted)
     series(3, sieve, series_limit=5000)
-    assert calls == {"mobius_table": 1, "totient_table": 1}
+    assert calls == {("mobius_table", 5000 // 3): 1,
+                     ("totient_table", 5000 // 3): 1}
 
 
 def test_every_benchmark_command_line_parses(workloads, parsed):

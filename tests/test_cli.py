@@ -339,8 +339,8 @@ def test_density_both_refuses_before_any_work(runner, monkeypatch):
 ], ids=["series", "both", "product"])
 def test_density_sizes_the_sieve_to_what_the_routes_need(runner, monkeypatch,
                                                          argv, limit):
-    # The series reads the sieve only to S // 2, the product to its
-    # prime-count-th prime; one sieve serves the larger need.
+    # The series needs a sieve to S // 2 for its root primes, the product
+    # one to its prime-count-th prime; one sieve serves the larger need.
     limits = []
     build = cli.build_sieve
 

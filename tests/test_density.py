@@ -288,11 +288,82 @@ def test_limb_floor_sum_matches_python_division(terms, expo, bits):
     numer = np.array([t[1] for t in terms], dtype=np.int64)
     quotients = [divmod(n << bits, m ** expo) for m, n in terms]
     want = (sum(q for q, _ in quotients), sum(1 for _, r in quotients if r))
-    assert _floor_sum(numer, s, expo, bits) == want
-    totals, _ = _stage_sums(numer.astype(np.uint64), s.astype(np.uint64),
-                            expo, bits)
+    assert _floor_sum(numer, s, expo, bits)[:2] == want
+    totals = _stage_sums(numer.astype(np.uint64), s.astype(np.uint64),
+                         expo, bits)[0]
     assert totals == [sum((n << bits) // m ** j for m, n in terms)
                       for j in range(1, expo + 1)]
+
+
+# (q, r) = divmod(numer << P, (2s)^e) against the partner the kernel gives
+# at s: q from q(s) >> e, r != 0 from the flags.
+@settings(max_examples=200, deadline=None)
+@given(terms=_terms, expo=st.integers(3, 102), bits=st.integers(60, 1024))
+# s on both sides of 2^16, 2^20 and 2^27 in one call (L = 36), and calls
+# whose largest s sits just below and at each power (L = 48 and 47, 44 and
+# 43, 37 and 36).
+@example(terms=[(2**16 - 1, 2**56 - 1), (2**16 + 1, 3), (2**20 - 1, 2**40),
+                (2**20 + 1, 2**56 - 1), (2**27 - 1, 5), (2**27 + 1, 2**55)],
+         expo=3, bits=96)
+@example(terms=[(3, 2**56 - 1), (2**16 - 1, 2**32 + 1)], expo=3, bits=97)
+@example(terms=[(3, 2**56 - 1), (2**16, 2**32 + 1)], expo=3, bits=97)
+@example(terms=[(5, 2**44 - 1), (2**20 - 1, 2**40 + 7)], expo=4, bits=96)
+@example(terms=[(5, 2**44 - 1), (2**20, 2**40 + 7)], expo=4, bits=96)
+@example(terms=[(7, 2**56 - 1), (2**27 - 1, 2**54 + 1)], expo=4, bits=200)
+@example(terms=[(7, 2**56 - 1), (2**27, 2**54 + 1)], expo=4, bits=200)
+# e > L at 1024 bits: theta and rho at d = 40 (with s near 2^27, so
+# L = 36) and d = 100, whose low e bits of q(s) span several limbs.
+@example(terms=[(3, 2), (5, 4), (3 * 5 * 7, 48), (2**27 - 1, 2**26)],
+         expo=41, bits=1024)
+@example(terms=[(3, 4), (5, 16), (3 * 5 * 7, 48**2), (2**27 - 1, 2**52)],
+         expo=42, bits=1024)
+@example(terms=[(3, 2), (5, 4), (7, 6), (11, 10)], expo=101, bits=1024)
+@example(terms=[(3, 4), (5, 16), (7, 36), (11, 100)], expo=102, bits=1024)
+# q(s) = 2^e exactly: its partner is 1 and exact.
+@example(terms=[(3, 3**5)], expo=5, bits=5)
+def test_partner_floors_match_python_division(terms, expo, bits):
+    s = np.array([t[0] for t in terms], dtype=np.uint64)
+    numer = np.array([t[1] for t in terms], dtype=np.uint64)
+    at_s = [(n << bits) // m ** expo for m, n in terms]
+    at_2s = [divmod(n << bits, (2 * m) ** expo) for m, n in terms]
+    totals, inexact, low, low_flags = _stage_sums(numer, s, expo, bits)
+    assert totals[-1] == sum(at_s)
+    assert low == sum(q % 2**expo for q in at_s)
+    assert (totals[-1] - low) >> expo == sum(q for q, _ in at_2s)
+    assert (inexact | low_flags).tolist() == [r != 0 for _, r in at_2s]
+    assert _floor_sum(numer, s, expo, bits)[2:] == (
+        sum(q for q, _ in at_2s), sum(1 for _, r in at_2s if r))
+
+
+def test_stage_column_sums_stay_exact_over_a_full_segment():
+    # SEGMENT terms at s = 3 take 48-bit limbs.  Here the largest quotient
+    # digits are just under 2^48, so their columns sum to just under 2^64,
+    # which 49-bit limbs would carry past.
+    numer, s = (2**56 - 1) * 9 // 16, 3
+    q = [(numer << 96) // s**j for j in (1, 2, 3)]
+    totals, inexact, low, low_flags = _stage_sums(
+        np.full(SEGMENT, numer, np.uint64), np.full(SEGMENT, s, np.uint64),
+        3, 96)
+    assert totals == [SEGMENT * x for x in q]
+    assert low == SEGMENT * (q[-1] % 2**3)
+    assert inexact.all()
+    assert (low_flags == bool(q[-1] % 2**3)).all()
+
+
+@pytest.mark.parametrize("limit", [2, 3, 4])
+def test_series_at_the_first_partners_matches_the_reference(big_sieve, limit):
+    # s = 2 pairs with m = 1, which is no term; 3 is odd with no partner
+    # up to 4, and 4 is not square-free.  Its floor 2^(P-e) is inexact at
+    # d = 100 and 60 bits (P < e) and 1, exact, at d = 59 with P = e.
+    bits_list = (60, 61, 96, 1024)
+    for fn in (theta_series, rho_series):
+        kind = fn.__name__.split("_")[0]
+        for d in (2, 3, 40, 59, 100):
+            want = _reference_series_sum(kind, d, big_sieve, [limit],
+                                         bits_list)
+            for bits in bits_list:
+                est = fn(d, big_sieve, series_limit=limit, precision_bits=bits)
+                assert (est.value, est.lower, est.upper) == want[bits, limit]
 
 
 def _prime_at_most(n):
@@ -590,21 +661,26 @@ def _rss_rise(route, limit, bits):
 
 @pytest.mark.parametrize("bits", [96, 4096])
 def test_series_peak_memory_stays_near_its_tables(bits):
-    # mu and phi to 10^6 // 2 are 0.5 MB (int8) and 2 MB (int32); the rest
-    # is one SEGMENT of terms at a time.  The rise is 5.4 MB at both widths
-    # (7.7 MB with the tables to 10^6), against 18.4 MB with full-length
-    # int64 tables, which this bound refuses.  Lists of every term at once
-    # took 9.9 times an int64 table.  At 4096 bits, 128 zero limbs follow
-    # the numerator's: they stream through the remainders, where a limbs x
-    # terms matrix of one segment would take 131 * 8 bytes for each of its
-    # ~40,000 terms.
+    # mu and phi to 10^6 // 3 are 0.33 MB (int8) and 1.3 MB (int32); the
+    # rest is one SEGMENT of terms at a time.  The rise is 4.8 MB at both
+    # widths (5.4 MB with the tables to 10^6 // 2 and 7.7 MB to 10^6),
+    # against 18.4 MB with full-length int64 tables, which this bound
+    # refuses.  Lists of every term at once took 9.9 times an int64
+    # table.  At 4096 bits, 93 zero limbs of 44 bits follow the
+    # numerator's: they stream through the remainders, where a limbs x
+    # terms matrix of one call would take 94 * 8 bytes for each of its
+    # ~26,000 terms.
     assert _rss_rise("series", 10**6, bits) <= 12 * 10**6
 
 
 def test_series_streams_the_upper_half_of_its_terms(big_sieve):
-    # The tables stop at S // 2 (int8 mu and int32 phi, 5 bytes a modulus);
-    # the moduli above come one piece at a time.  The rest of the peak is
-    # 2.5 MB; holding mu and phi for the upper half at once would add 5 MB.
+    # The tables stop at S // 3 (int8 mu and int32 phi, 5 bytes a modulus);
+    # the odd moduli above come one piece at a time, and the even ones from
+    # their odd halves.  The rest of the peak is one piece and one call of
+    # the kernel, 4.3 uint64 arrays of SEGMENT entries (2.2 MB), for a peak
+    # of 5.6 MB.  Tables to S // 2 would add 1.7 MB; a kernel that held all
+    # its head limbs at once and a separate sum buffer peaked at 6.1 MB.
+    # This bound refuses both.
     S = 2 * 10**6
     tracemalloc.start()
     try:
@@ -612,7 +688,7 @@ def test_series_streams_the_upper_half_of_its_terms(big_sieve):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - 5 * (S // 2 + 1) <= 4 * 10**6
+    assert peak <= 5 * (S // 3 + 1) + 5 * 8 * SEGMENT
 
 
 def test_power_sum_pass_peak_memory_stays_within_pieces():
