@@ -3,21 +3,29 @@
 :class:`ArithSieve` covers the integers 2..limit.  Its root primes, every
 prime up to isqrt(2 * limit + 1), are its one prime source; the rest is
 built from them on first read, so a caller pays only for what it reads.
-The prime list serves the Euler product.  The scalar Moebius function,
-Euler totient, distinct prime count and divisor count and
+The prime list serves the Euler product: 2, then the odd n that no odd
+root prime flags, with one byte per odd n of a piece.  The scalar Moebius
+function, Euler totient, distinct prime count and divisor count and
 :func:`phi_bounded` (the exact count of integers in a symmetric interval
 coprime to a modulus, the building block of the polynomial counting
 formulas) factor their argument by trial division over the root primes.
 
 The bulk table versions of mu and phi, for callers that sweep a
-contiguous range, read neither array.  Each value comes from the one at
-n / spf(n), with spf marked one piece at a time by the primes up to the
-square root that :func:`build_sieve` keeps, in O(SEGMENT) memory beyond
-the result.  The tables are as narrow as their values: int8 for mu and
-int32 for phi (phi(n) < n <= 2 * MAX_SIEVE_LIMIT + 1 < 2^31), 5 bytes
-per entry, so callers widen them before they multiply.
-:func:`odd_table_pieces` streams both at the odd n up to three times a
-table's limit, from the tables and the same recurrence.
+contiguous range, read neither array.  They run one recurrence, at odd n
+only: f(n) comes from f(m), m = n / spf(n), with spf marked one piece at
+a time, at stride 2p, by the odd root primes, in O(SEGMENT) memory beyond
+the result.  An odd n has spf(n) >= 3, so m <= n / 3, and a piece of odd
+n in [lo, hi) with hi <= 3 * lo reads only entries of earlier pieces.
+The full tables, which the counters read, then take each even n = 2k
+from k, one strided operation per power of 2: mu(2k) = -mu(k) for odd k
+and 0 for even k, phi(2k) = phi(k) for odd k and 2 * phi(k) for even k.
+With ``odd=True`` a table stops before that step and holds f(2i + 1) at
+entry i, half the length; the Moebius series reads only odd moduli.  The
+tables are as narrow as their values: int8 for mu and int32 for phi
+(phi(n) < n <= 2 * MAX_SIEVE_LIMIT + 1 < 2^31), 5 bytes per entry, so
+callers widen them before they multiply.  :func:`odd_table_pieces`
+streams both at the odd n up to three times an odd table's limit, from
+the tables and the same recurrence.
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ DEFAULT_SIEVE_LIMIT = 10**7
 # (500 MB); the prime list alone is about 46 MB.
 MAX_SIEVE_LIMIT = 10**8
 
-# Width of the pieces the tables and the prime list are marked in.
+# Odd n per piece that the tables and the prime list are marked in.
 # Independent of counting.WINDOW, which bounds the counter's int64 sums.
 SEGMENT = 1 << 16
 
@@ -69,21 +77,33 @@ class ArithSieve:
     def primes(self) -> np.ndarray:
         """All primes <= limit in ascending order, as int64.
 
-        Marked SEGMENT integers at a time into one array sized by
+        2, then the odd primes, SEGMENT odd n at a time: each piece holds
+        a bool composite flag per odd n, set by :func:`_mark` at stride p
+        from max(p * p, the first odd multiple of p) for each odd prime p
+        up to the square root of the piece's end, and the n left unset
+        are prime.  They go into one array sized by
         pi(x) < x / ln x * (1 + 1.2762 / ln x) for x > 1 (Dusart, 1998),
-        so the build needs about one piece beyond its result.
+        so the build needs about one piece of flags and indices beyond
+        its result.
         """
         log = math.log(self.limit)
         found = np.empty(int(self.limit / log * (1 + 1.2762 / log)) + 1,
                          dtype=np.int64)
-        count, marks = 0, np.empty(SEGMENT, dtype=np.int32)
-        for lo in range(2, self.limit + 1, SEGMENT):
-            piece = marks[:self.limit + 1 - lo]
-            piece.fill(0)
-            _mark(piece, lo, self._marking_primes(lo + piece.size - 1))
-            new = np.flatnonzero(piece == 0)
-            np.add(new, lo, out=found[count:count + new.size])
+        found[0] = 2
+        count, flags = 1, np.empty(SEGMENT, dtype=bool)
+        for lo in range(3, self.limit + 1, 2 * SEGMENT):
+            piece = flags[:(self.limit - lo) // 2 + 1]
+            piece.fill(False)
+            last = lo + 2 * (piece.size - 1)
+            _mark(piece, lo, self._odd_marking_primes(last), 2)
+            # In place: the flags now mark the primes.
+            np.logical_not(piece, out=piece)
+            new = np.flatnonzero(piece)
+            out = found[count:count + new.size]
+            np.multiply(new, 2, out=out)
+            out += lo
             count += new.size
+            del new  # so that no two pieces' indices are held at once
         primes = found[:count]
         primes.flags.writeable = False
         return primes
@@ -95,15 +115,16 @@ class ArithSieve:
         int32, by one :func:`_mark` pass over the whole table; entries 0
         and 1 are unused and hold 0.  Nothing in eisencount reads it.
         """
-        spf = _spf_piece(0, self.limit + 1, self._marking_primes(self.limit))
+        spf = _spf_piece(0, self.limit + 1,
+                         (2, *self._odd_marking_primes(self.limit)))
         spf[:2] = 0
         spf.flags.writeable = False
         return spf
 
-    def _marking_primes(self, end: int) -> Sequence[int]:
-        """The primes up to isqrt(end), which mark any piece ending at end."""
-        return self.root_primes[:bisect.bisect_right(self.root_primes,
-                                                     math.isqrt(end))]
+    def _odd_marking_primes(self, end: int) -> Sequence[int]:
+        """The odd primes up to isqrt(end), which mark any odd n <= end."""
+        return self.root_primes[1:bisect.bisect_right(self.root_primes,
+                                                      math.isqrt(end))]
 
     def nth_prime(self, n: int) -> int:
         """The n-th prime (1-indexed), if covered by the sieve."""
@@ -153,22 +174,23 @@ def build_sieve(limit: int = DEFAULT_SIEVE_LIMIT, *,
                       root_primes=tuple(np.flatnonzero(small).tolist()))
 
 
-def _mark(spf: np.ndarray, lo: int, primes: Sequence[int],
+def _mark(marks: np.ndarray, lo: int, primes: Sequence[int],
           step: int = 1) -> None:
-    """Set spf[i] to spf(n), n = lo + step * i, for the composites n listed.
+    """Set marks[i] to p = spf(n), n = lo + step * i, for the composites n.
 
     Each of the ascending ``primes``, which must hold every prime up to
     the square root of the piece's end, marks its multiples from the
     larger of p*p and its first multiple >= lo, largest first, so the
     smallest prime factor writes last.  Entries of primes stay as they
     were.  With step 2 the piece holds the odd n from an odd lo, the
-    primes must be odd, and p marks its odd multiples, 2p apart.
+    primes must be odd, and p marks its odd multiples, 2p apart.  A bool
+    piece takes each write as True: a composite flag.
     """
     for p in reversed(primes):
         first = max(p * p, -(-lo // p) * p)
         if (first - lo) % step:
             first += p
-        spf[(first - lo) // step:: p] = p
+        marks[(first - lo) // step:: p] = p
 
 
 def _spf_piece(lo: int, hi: int, primes: Sequence[int],
@@ -275,61 +297,82 @@ def _phi_factor(p, repeated):
     return p - 1 + repeated
 
 
-def _piece(lo: int, p: np.ndarray, tables, out, step: int = 1) -> None:
+def _piece(lo: int, p: np.ndarray, tables, out) -> None:
     """Fill out[j][i] = f(m) * factor(p, r) for (f, factor) = tables[j].
 
-    Here n = lo + step * i, p = p[i] = spf(n), m = n / p, and r tells
-    whether p divides m too; each f must cover every m.  r is exact as
-    m % p == 0: every prime of m is at least p, so p divides m exactly
+    Here n = lo + 2i is odd, p = p[i] = spf(n), m = n / p, and r tells
+    whether p divides m too.  Each f holds f(2i + 1) at entry i and must
+    cover every m, which is odd, so f(m) is read at m >> 1.  r is exact
+    as m % p == 0: every prime of m is at least p, so p divides m exactly
     when spf(m) = p.
     """
-    m = np.arange(lo, lo + step * p.size, step, dtype=np.int32) // p
+    m = np.arange(lo, lo + 2 * p.size, 2, dtype=np.int32) // p
     repeated = m % p == 0
+    m >>= 1
     for (f, factor), o in zip(tables, out):
         np.multiply(f[m], factor(p, repeated), out=o)
 
 
-def _table(limit: int, sieve: ArithSieve, dtype, factor) -> np.ndarray:
-    """Vector of f(n) for 0 <= n <= limit in ``dtype``, f(0) = 0, f(1) = 1.
+def _table(limit: int, sieve: ArithSieve, dtype, factor,
+           odd: bool) -> np.ndarray:
+    """f(n) for 0 <= n <= limit in ``dtype``, f(0) = 0 and f(1) = 1.
 
-    For n >= 2, f(n) comes from f(m), m = n / spf(n), by :func:`_piece`,
-    with spf marked piece by piece by :func:`_spf_piece`, so the sieve's
-    spf table is never read.  One gather fills each piece [lo, hi):
-    hi <= 2 * lo puts every m < hi / 2 <= lo in an earlier one, and
-    hi <= lo + SEGMENT bounds the extra memory, whatever the limit.
+    With ``odd`` the vector holds f(2i + 1) at entry i, for the
+    (limit + 1) // 2 odd n <= limit; otherwise f(n) at entry n.  Either
+    way :func:`_piece` fills the odd n, in the view of entry i = f(2i + 1),
+    one piece of odd n in [lo, hi) at a time, with spf marked by
+    :func:`_spf_piece` at stride 2 over the odd root primes, so the
+    sieve's spf table is never read.  One gather fills each piece: as
+    spf(n) >= 3, hi <= 3 * lo puts every m = n / spf(n) < hi / 3 <= lo in
+    an earlier one, and hi <= lo + 2 * SEGMENT bounds the extra memory,
+    whatever the limit.  The full vector then takes n = 2^a * k, k odd,
+    from n / 2 by the same recurrence with p = 2, which divides n / 2
+    when a >= 2: one strided operation for each a, in increasing order.
     """
     if not 0 <= limit <= sieve.limit:
         raise ValueError(f"table limit {limit} outside 0..{sieve.limit}")
-    f = np.zeros(limit + 1, dtype=dtype)
-    f[1:2] = 1
-    lo = 2
+    f = np.zeros((limit + 1) // 2 if odd else limit + 1, dtype=dtype)
+    odds = f if odd else f[1::2]
+    odds[:1] = 1
+    lo = 3
     while lo <= limit:
-        hi = min(2 * lo, lo + SEGMENT, limit + 1)
-        spf = _spf_piece(lo, hi, sieve._marking_primes(hi - 1))
-        _piece(lo, spf, [(f, factor)], [f[lo:hi]])
+        hi = min(3 * lo, lo + 2 * SEGMENT, limit + 1)
+        spf = _spf_piece(lo, hi, sieve._odd_marking_primes(hi - 1), 2)
+        _piece(lo, spf, [(odds, factor)], [odds[lo >> 1:][:spf.size]])
         lo = hi
+    if not odd:
+        step = 2
+        while step <= limit:
+            even = f[step::2 * step]
+            np.multiply(f[step >> 1::step][:even.size], factor(2, step > 2),
+                        out=even)
+            step *= 2
     return f
 
 
-def mobius_table(limit: int, sieve: ArithSieve) -> np.ndarray:
+def mobius_table(limit: int, sieve: ArithSieve, *,
+                 odd: bool = False) -> np.ndarray:
     """Vector of mu(n) for 0 <= n <= limit, as int8; mu[0] is set to 0.
 
-    Bulk variant of :func:`mobius` for callers that need every value in
-    a range: mu(p * m) is 0 when p = spf(p * m) divides m and -mu(m)
-    otherwise, filled by :func:`_table`.  int8 wraps silently, so widen
-    the table before multiplying it by anything larger than mu.
+    With ``odd``, entry i holds mu(2i + 1) instead, for the odd n <= limit
+    only.  Bulk variant of :func:`mobius` for callers that need every
+    value in a range: mu(p * m) is 0 when p = spf(p * m) divides m and
+    -mu(m) otherwise, filled by :func:`_table`.  int8 wraps silently, so
+    widen the table before multiplying it by anything larger than mu.
     """
-    return _table(limit, sieve, np.int8, _mu_factor)
+    return _table(limit, sieve, np.int8, _mu_factor, odd)
 
 
-def totient_table(limit: int, sieve: ArithSieve) -> np.ndarray:
+def totient_table(limit: int, sieve: ArithSieve, *,
+                  odd: bool = False) -> np.ndarray:
     """Vector of phi(n) for 0 <= n <= limit, as int32; phi[0] is set to 0.
 
-    phi(p * m) is phi(m) * p when p = spf(p * m) divides m and
+    With ``odd``, entry i holds phi(2i + 1) instead, for the odd n <= limit
+    only.  phi(p * m) is phi(m) * p when p = spf(p * m) divides m and
     phi(m) * (p - 1) otherwise, filled by :func:`_table`.  Widen the
     values before raising them to a power or multiplying them.
     """
-    return _table(limit, sieve, np.int32, _phi_factor)
+    return _table(limit, sieve, np.int32, _phi_factor, odd)
 
 
 def odd_table_pieces(limit: int, sieve: ArithSieve, mu: np.ndarray,
@@ -337,23 +380,25 @@ def odd_table_pieces(limit: int, sieve: ArithSieve, mu: np.ndarray,
                                                         np.ndarray]]:
     """Yield (lo, mu, phi) over pieces covering the odd n of 3..limit.
 
-    Entry i of a piece is n = lo + 2i.  ``mu`` and ``phi`` are
-    :func:`mobius_table` and :func:`totient_table` to at least third =
-    limit // 3.  The pieces, in ascending order and of at most SEGMENT
-    entries, are views into them, with stride 2, up to third.  Above it
-    each piece is computed and dropped: an odd n has spf(n) >= 3, so
-    m = n / spf(n) <= n / 3 <= third, and :func:`_piece` reads f(m) from
-    the tables, with spf(n) from :func:`_spf_piece` over the odd primes
-    up to isqrt(limit).  ``limit`` may reach 2 * sieve.limit + 1.
+    Entry i of a piece is n = lo + 2i.  ``mu`` and ``phi`` are the odd
+    tables (``odd=True``) of :func:`mobius_table` and
+    :func:`totient_table` to at least third = limit // 3.  The pieces, in
+    ascending order and of at most SEGMENT entries, are slices of them up
+    to third.  Above it each piece is computed and dropped: an odd n has
+    spf(n) >= 3, so m = n / spf(n) <= n / 3 <= third, and :func:`_piece`
+    reads f(m) from the tables at m >> 1, with spf(n) from
+    :func:`_spf_piece` over the odd primes up to isqrt(limit).  ``limit``
+    may reach 2 * sieve.limit + 1.
     """
     third = limit // 3
-    for lo in range(3, third + 1, 2 * SEGMENT):
-        hi = min(lo + 2 * SEGMENT, third + 1)
-        yield lo, mu[lo:hi:2], phi[lo:hi:2]
-    primes = sieve._marking_primes(limit)[1:]  # all but 2
+    stored = (third + 1) // 2  # the odd n <= third
+    for i in range(1, stored, SEGMENT):
+        end = min(i + SEGMENT, stored)
+        yield 2 * i + 1, mu[i:end], phi[i:end]
+    primes = sieve._odd_marking_primes(limit)
     tables = ((mu, _mu_factor), (phi, _phi_factor))
     for lo in range(max((third + 1) | 1, 3), limit + 1, 2 * SEGMENT):
         spf = _spf_piece(lo, min(lo + 2 * SEGMENT, limit + 1), primes, 2)
         out = np.empty(spf.size, mu.dtype), np.empty(spf.size, phi.dtype)
-        _piece(lo, spf, tables, out, 2)
+        _piece(lo, spf, tables, out)
         yield lo, *out

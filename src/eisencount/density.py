@@ -78,17 +78,18 @@ m = 1, has the floor 2^(P-e), exact when P >= e.  At d = 2 and 96 bits
 an odd term takes 7 divisions for theta and 10 for rho on average, and
 its partner none: 4.7 and 6.7 a term, not 8 and 12.
 
-The series stores mu and phi only up to S // 3, and reads nothing else:
-the tables mark their own spf a piece at a time from the sieve's root
-primes, and the product reads only its prime list.  An odd s has p =
-spf(s) >= 3, so m = s / p <= S / 3, and mu(s) and phi(s) follow from
-mu(m) and phi(m) by the tables' own recurrence.  So the odd moduli up to
-S // 3 are read from the tables with stride 2, and those above come in
-pieces of at most SEGMENT, each with its spf from marking the odd primes
-up to isqrt(S) at stride 2p, filled, summed and dropped
-(:func:`arith.odd_table_pieces`).  The tables take 5 (S // 3 + 1) bytes,
-and a sieve to n serves every S <= 2n + 1, as its root primes reach
-isqrt(2n + 1).
+The series stores mu and phi only at the odd moduli up to S // 3, and
+reads nothing else: the tables mark their own spf a piece at a time from
+the sieve's root primes, and the product reads only its prime list.  An
+odd s has p = spf(s) >= 3, so m = s / p <= S / 3, and mu(s) and phi(s)
+follow from mu(m) and phi(m) by the tables' own recurrence.  So the odd
+moduli up to S // 3 are read from the odd tables (``odd=True``) in
+contiguous slices, and those above come in pieces of at most SEGMENT,
+each with its spf from marking the odd primes up to isqrt(S) at stride
+2p, filled from the tables' entries at m >> 1, summed and dropped
+(:func:`arith.odd_table_pieces`).  The tables take 5 ((S // 3 + 1) // 2)
+bytes, and a sieve to n serves every S <= 2n + 1, as its root primes
+reach isqrt(2n + 1).
 """
 
 from __future__ import annotations
@@ -426,8 +427,8 @@ def _series_estimate(kind: str, d: int, sieve: ArithSieve, series_limit: int,
     k = POWERS[kind]
     expo = d + k
     third = series_limit // 3
-    mu = mobius_table(third, sieve)
-    phi = totient_table(third, sieve)
+    mu = mobius_table(third, sieve, odd=True)
+    phi = totient_table(third, sieve, odd=True)
     # sums[sign] = [sum of floors, inexact terms] over the moduli s with
     # mu(s) = sign.  s = 2 pairs with m = 1, which is no term: its floor
     # is 2^(P-e), inexact when P < e.

@@ -49,10 +49,13 @@ def test_build_sieve_rejects_bad_limits():
 
 
 def test_build_sieve_peak_memory_stays_near_its_result():
-    # build_sieve allocates neither array.  The prime list is marked a
-    # piece at a time into one array sized by Dusart's bound, so it peaks
-    # within two pieces of its result; spf is marked in place, with no
-    # full-length temporary beside it.
+    # build_sieve allocates neither array.  The prime list is flagged a
+    # piece of SEGMENT odd n at a time, one byte each, into one array
+    # sized by Dusart's bound: it peaks about 170 KB above its result at
+    # 10^6, one piece of flags and one of indices, under one int32 piece
+    # of spf marks (the 256 KB that int32 marks over every n took, beside
+    # their indices, for a peak 430 KB above the result).  spf is marked
+    # in place, with no full-length temporary beside it.
     piece = SEGMENT * np.dtype(np.int32).itemsize
     tracemalloc.start()
     try:
@@ -67,7 +70,7 @@ def test_build_sieve_peak_memory_stays_near_its_result():
     finally:
         tracemalloc.stop()
     assert sieve_peak <= piece
-    assert primes_peak <= primes.nbytes + 2 * piece
+    assert primes_peak <= primes.nbytes + piece
     assert spf_peak <= spf.nbytes + primes.nbytes + piece
 
 
@@ -83,9 +86,15 @@ def _reference_sieve(limit):
     return spf, primes
 
 
+# The prime list flags the odd n in pieces that start at 3 + 2 * SEGMENT * j,
+# so a limit of 2 * SEGMENT * j + 1 ends them with a full piece and one of
+# 2 * SEGMENT * j + 3 with a piece of a single n.
 @pytest.mark.parametrize("limits", [
     range(2, 301), range(2**16 - 2, 2**16 + 3), range(257**2 - 1, 257**2 + 2),
-], ids=["2..300", "around-2^16", "around-257^2"])
+    range(2 * SEGMENT - 2, 2 * SEGMENT + 4),
+    range(4 * SEGMENT - 2, 4 * SEGMENT + 4),
+], ids=["2..300", "around-2^16", "around-257^2", "around-2*SEGMENT",
+        "around-4*SEGMENT"])
 def test_build_sieve_matches_the_compare_and_mask_sieve(limits):
     for limit in limits:
         s = build_sieve(limit)
@@ -389,14 +398,16 @@ def _assert_tables_match_reference(limit, sieve):
         assert np.array_equal(got, want), (table.__name__, limit)
 
 
-# The tables fill pieces [2^j, 2^(j+1)) up to 2^17 = 2 * SEGMENT, then
-# SEGMENT-wide ones, so a limit on either side of a piece's edge ends in a
-# full or a one-entry piece.  257^2 = 66049 is the first square of a prime
-# past the first SEGMENT.
+# The tables fill the odd n in pieces [3^j, 3^(j+1)) up to 3^11 = 177147,
+# then ones of SEGMENT odd n; the even n follow one power of 2 at a time.
+# 257^2 = 66049 is the first square of a prime past the first SEGMENT.
 @pytest.mark.parametrize("limit", [0, 1, 2, 3, 4, 2**15 - 1, 2**15, 2**15 + 1,
                                    SEGMENT - 1, SEGMENT, SEGMENT + 1,
                                    2 * SEGMENT - 1, 2 * SEGMENT,
-                                   2 * SEGMENT + 1, 257**2 - 1, 257**2, 10**6])
+                                   2 * SEGMENT + 1, 257**2 - 1, 257**2,
+                                   3**10, 3**10 + 1, 3**11, 3**11 + 1,
+                                   3**11 + 2 * SEGMENT,
+                                   3**11 + 2 * SEGMENT + 1, 10**6])
 def test_segmented_tables_match_reference(limit, big_sieve):
     _assert_tables_match_reference(limit, big_sieve)
 
@@ -407,6 +418,30 @@ def test_segmented_tables_match_reference_at_random_limits(limit, big_sieve):
     _assert_tables_match_reference(limit, big_sieve)
 
 
+def _assert_odd_tables_are_the_odd_entries(limit, sieve):
+    for table in (mobius_table, totient_table):
+        odd, full = table(limit, sieve, odd=True), table(limit, sieve)
+        assert odd.dtype == full.dtype, (table.__name__, limit)
+        assert np.array_equal(odd, full[1::2]), (table.__name__, limit)
+
+
+# Both ends of every piece of odd n (3^k, and 3^11 + 2 * SEGMENT * j past
+# the last one of 3 * lo), and the prime list's piece edges.
+@pytest.mark.parametrize("limit", sorted(
+    {*range(11), *(3**k + e for k in range(1, 13) for e in (-1, 0, 1)),
+     *(2 * SEGMENT * j + e for j in (1, 2) for e in (-2, -1, 0, 1, 2)),
+     3**11 + 2 * SEGMENT - 1, 3**11 + 2 * SEGMENT + 1}))
+def test_odd_tables_are_the_full_tables_odd_entries(limit, big_sieve):
+    _assert_odd_tables_are_the_odd_entries(limit, big_sieve)
+
+
+@settings(max_examples=25, deadline=None)
+@given(limit=st.integers(min_value=0, max_value=10**6))
+def test_odd_tables_are_the_full_tables_odd_entries_at_random_limits(
+        limit, big_sieve):
+    _assert_odd_tables_are_the_odd_entries(limit, big_sieve)
+
+
 @pytest.mark.parametrize("limit", [2, 3, 1000, SEGMENT + 1, 3 * SEGMENT + 5])
 def test_tables_from_a_larger_sieve_match_an_exact_sieve(limit, big_sieve):
     exact = build_sieve(limit)
@@ -414,9 +449,10 @@ def test_tables_from_a_larger_sieve_match_an_exact_sieve(limit, big_sieve):
         assert np.array_equal(table(limit, big_sieve), table(limit, exact))
 
 
-# Tables to a third serve the odd n up to 3 * third + 2.  2 * 257^2 + 1
-# and 3 * 257^2 - 1 put 257^2, whose spf a piece must mark from p*p,
-# above the third; 6 * SEGMENT + 7 reads two pieces from the tables.
+# Odd tables to a third serve the odd n up to 3 * third + 2.
+# 2 * 257^2 + 1 and 3 * 257^2 - 1 put 257^2, whose spf a piece must mark
+# from p*p, above the third; 6 * SEGMENT + 7 reads two pieces from the
+# tables.
 @pytest.mark.parametrize("limit", [1, 2, 3, 4, 5, 6, 7, 2 * SEGMENT + 1,
                                    2 * SEGMENT + 2, 3 * SEGMENT + 7,
                                    6 * SEGMENT + 7, 2 * 257**2 + 1,
@@ -425,7 +461,8 @@ def test_odd_table_pieces_give_every_odd_modulus_once(limit):
     third = limit // 3
     # The smallest sieve the series takes at this limit.
     sieve = build_sieve(max(limit // 2, 2))
-    mu, phi = mobius_table(third, sieve), totient_table(third, sieve)
+    mu = mobius_table(third, sieve, odd=True)
+    phi = totient_table(third, sieve, odd=True)
     pieces = list(arith.odd_table_pieces(limit, sieve, mu, phi))
     start = 3
     for lo, mu_piece, phi_piece in pieces:

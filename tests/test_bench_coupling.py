@@ -75,13 +75,15 @@ def test_series_reaches_each_table_once_through_its_traced_name(
     # density-heavy expects arith.mobius_table and arith.totient_table
     # spans, which exist only if the series calls the very functions that
     # spans.py finds, by identity, in the density namespace.  Each table
-    # stops at S // 3: the odd moduli above it come from pieces.
+    # holds only the odd moduli and stops at S // 3: those above it come
+    # from pieces.
     calls = Counter()
     for name in ("mobius_table", "totient_table"):
         original = getattr(density, name)
         assert original is getattr(arith, name), name
 
         def counted(limit, *args, _name=name, _original=original, **kwargs):
+            assert kwargs.get("odd") is True, _name
             calls[_name, limit] += 1
             return _original(limit, *args, **kwargs)
 

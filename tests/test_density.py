@@ -674,13 +674,12 @@ def test_series_peak_memory_stays_near_its_tables(bits):
 
 
 def test_series_streams_the_upper_half_of_its_terms(big_sieve):
-    # The tables stop at S // 3 (int8 mu and int32 phi, 5 bytes a modulus);
-    # the odd moduli above come one piece at a time, and the even ones from
-    # their odd halves.  The rest of the peak is one piece and one call of
-    # the kernel, 4.3 uint64 arrays of SEGMENT entries (2.2 MB), for a peak
-    # of 5.6 MB.  Tables to S // 2 would add 1.7 MB; a kernel that held all
-    # its head limbs at once and a separate sum buffer peaked at 6.1 MB.
-    # This bound refuses both.
+    # The tables hold the odd moduli up to S // 3 (int8 mu and int32 phi,
+    # 5 bytes an odd modulus); the odd moduli above come one piece at a
+    # time, and the even ones from their odd halves.  The rest of the peak
+    # is one piece and one call of the kernel, 4.5 uint64 arrays of SEGMENT
+    # entries (2.4 MB), for a peak of 4.0 MB.  Full tables to S // 3 would
+    # add 1.7 MB; this bound refuses them.
     S = 2 * 10**6
     tracemalloc.start()
     try:
@@ -688,7 +687,7 @@ def test_series_streams_the_upper_half_of_its_terms(big_sieve):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 5 * (S // 3 + 1) + 5 * 8 * SEGMENT
+    assert peak <= 5 * ((S // 3 + 1) // 2) + 5 * 8 * SEGMENT
 
 
 def test_power_sum_pass_peak_memory_stays_within_pieces():
