@@ -3,29 +3,29 @@
 :class:`ArithSieve` covers the integers 2..limit.  Its root primes, every
 prime up to isqrt(2 * limit + 1), are its one prime source; the rest is
 built from them on first read, so a caller pays only for what it reads.
-The prime list serves the Euler product: 2, then the odd n that no odd
-root prime flags, with one byte per odd n of a piece.  The scalar Moebius
-function, Euler totient, distinct prime count and divisor count and
-:func:`phi_bounded` (the exact count of integers in a symmetric interval
-coprime to a modulus, the building block of the polynomial counting
-formulas) factor their argument by trial division over the root primes.
+The scalar Moebius function, Euler totient, distinct prime count and
+divisor count and :func:`phi_bounded` (the exact count of integers in a
+symmetric interval coprime to a modulus, the building block of the
+polynomial counting formulas) factor their argument by trial division.
 
-The bulk table versions of mu and phi, for callers that sweep a
-contiguous range, read neither array.  They run one recurrence, at odd n
-only: f(n) comes from f(m), m = n / spf(n), with spf marked one piece at
-a time, at stride 2p, by the odd root primes, in O(SEGMENT) memory beyond
-the result.  An odd n has spf(n) >= 3, so m <= n / 3, and a piece of odd
-n in [lo, hi) with hi <= 3 * lo reads only entries of earlier pieces.
-The full tables, which the counters read, then take each even n = 2k
-from k, one strided operation per power of 2: mu(2k) = -mu(k) for odd k
-and 0 for even k, phi(2k) = phi(k) for odd k and 2 * phi(k) for even k.
-With ``odd=True`` a table stops before that step and holds f(2i + 1) at
-entry i, half the length; the Moebius series reads only odd moduli.  The
-tables are as narrow as their values: int8 for mu and int32 for phi
-(phi(n) < n <= 2 * MAX_SIEVE_LIMIT + 1 < 2^31), 5 bytes per entry, so
-callers widen them before they multiply.  :func:`odd_table_pieces`
-streams both at the odd n up to three times an odd table's limit, from
-the tables and the same recurrence.
+Everything else is sieved at odd n only, by one kernel: :func:`_mark`
+has each odd root prime p write itself at stride 2p, largest first, so
+an entry ends as spf(n).  It flags the prime list, which the Euler
+product reads (2, then the unflagged odd n, one byte each per piece),
+and marks the odd half of the spf table (its even entries are 2).  The
+bulk mu and phi tables, for callers that sweep a contiguous range, read
+neither array: f(n) comes from f(m), m = n / spf(n), with spf marked by
+:func:`_piece` a piece of odd n in [lo, hi) at a time, in O(SEGMENT)
+memory beyond the result.  As spf(n) >= 3, m <= n / 3, so hi <= 3 * lo
+reads only earlier pieces.  The full tables, which the counters read,
+then take each even n = 2k from k, one strided operation per power of
+2: mu(2k) = -mu(k) for odd k and 0 for even k, phi(2k) = phi(k) for odd
+k and 2 * phi(k) for even k.  With ``odd=True`` a table stops there and
+holds f(2i + 1) at entry i; the Moebius series reads only odd moduli.
+The tables are as narrow as their values: int8 for mu and int32 for phi
+(phi(n) < n <= 2 * MAX_SIEVE_LIMIT + 1 < 2^31), so callers widen them
+before they multiply.  :func:`odd_table_pieces` streams both at the odd
+n up to three times an odd table's limit.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ class ArithSieve:
         """All primes <= limit in ascending order, as int64.
 
         2, then the odd primes, SEGMENT odd n at a time: each piece holds
-        a bool composite flag per odd n, set by :func:`_mark` at stride p
+        a bool composite flag per odd n, set by :func:`_mark` at stride 2p
         from max(p * p, the first odd multiple of p) for each odd prime p
         up to the square root of the piece's end, and the n left unset
         are prime.  They go into one array sized by
@@ -95,7 +95,7 @@ class ArithSieve:
             piece = flags[:(self.limit - lo) // 2 + 1]
             piece.fill(False)
             last = lo + 2 * (piece.size - 1)
-            _mark(piece, lo, self._odd_marking_primes(last), 2)
+            _mark(piece, lo, self._odd_marking_primes(last))
             # In place: the flags now mark the primes.
             np.logical_not(piece, out=piece)
             new = np.flatnonzero(piece)
@@ -112,11 +112,13 @@ class ArithSieve:
     def spf(self) -> np.ndarray:
         """``spf[n]``, the least prime dividing n, for 2 <= n <= limit.
 
-        int32, by one :func:`_mark` pass over the whole table; entries 0
-        and 1 are unused and hold 0.  Nothing in eisencount reads it.
+        int32: 2 at even n, one :func:`_mark` pass at odd n; 0 at 0 and 1.
+        No computation reads it; the tests compare it with a reference
+        sieve, and the benchmark's trace counts its bytes.
         """
-        spf = _spf_piece(0, self.limit + 1,
-                         (2, *self._odd_marking_primes(self.limit)))
+        spf = np.arange(self.limit + 1, dtype=np.int32)
+        spf[2::2] = 2
+        _mark(spf[1::2], 1, self._odd_marking_primes(self.limit))
         spf[:2] = 0
         spf.flags.writeable = False
         return spf
@@ -174,34 +176,21 @@ def build_sieve(limit: int = DEFAULT_SIEVE_LIMIT, *,
                       root_primes=tuple(np.flatnonzero(small).tolist()))
 
 
-def _mark(marks: np.ndarray, lo: int, primes: Sequence[int],
-          step: int = 1) -> None:
-    """Set marks[i] to p = spf(n), n = lo + step * i, for the composites n.
+def _mark(marks: np.ndarray, lo: int, primes: Sequence[int]) -> None:
+    """Set marks[i] to p = spf(n), n = lo + 2i, for the composites n.
 
-    Each of the ascending ``primes``, which must hold every prime up to
-    the square root of the piece's end, marks its multiples from the
-    larger of p*p and its first multiple >= lo, largest first, so the
+    The piece holds the odd n from an odd lo.  Each of the ascending odd
+    ``primes``, which must hold every odd prime up to the square root of
+    the piece's end, marks its odd multiples, 2p apart, from the larger
+    of p*p and its first odd multiple >= lo, largest first, so the
     smallest prime factor writes last.  Entries of primes stay as they
-    were.  With step 2 the piece holds the odd n from an odd lo, the
-    primes must be odd, and p marks its odd multiples, 2p apart.  A bool
-    piece takes each write as True: a composite flag.
+    were.  A bool piece takes each write as True: a composite flag.
     """
     for p in reversed(primes):
         first = max(p * p, -(-lo // p) * p)
-        if (first - lo) % step:
+        if not first & 1:
             first += p
-        marks[(first - lo) // step:: p] = p
-
-
-def _spf_piece(lo: int, hi: int, primes: Sequence[int],
-               step: int = 1) -> np.ndarray:
-    """spf(n) for n in range(lo, hi, step), as int32, marked by :func:`_mark`.
-
-    Every entry starts as n, which the primes (and 0 and 1) keep.
-    """
-    spf = np.arange(lo, hi, step, dtype=np.int32)
-    _mark(spf, lo, primes, step)
-    return spf
+        marks[(first - lo) // 2:: p] = p
 
 
 @dataclass(frozen=True)
@@ -297,16 +286,20 @@ def _phi_factor(p, repeated):
     return p - 1 + repeated
 
 
-def _piece(lo: int, p: np.ndarray, tables, out) -> None:
+def _piece(lo: int, hi: int, primes: Sequence[int], tables, out) -> None:
     """Fill out[j][i] = f(m) * factor(p, r) for (f, factor) = tables[j].
 
-    Here n = lo + 2i is odd, p = p[i] = spf(n), m = n / p, and r tells
-    whether p divides m too.  Each f holds f(2i + 1) at entry i and must
-    cover every m, which is odd, so f(m) is read at m >> 1.  r is exact
-    as m % p == 0: every prime of m is at least p, so p divides m exactly
-    when spf(m) = p.
+    Here n = lo + 2i is odd and below hi, p = spf(n), marked by
+    :func:`_mark` over the odd ``primes`` to isqrt(hi - 1), m = n / p, and
+    r tells whether p divides m too.  Each f holds f(2i + 1) at entry i
+    and must cover every m, which is odd, so f(m) is read at m >> 1.  r is
+    exact as m % p == 0: every prime of m is at least p, so p divides m
+    exactly when spf(m) = p.
     """
-    m = np.arange(lo, lo + 2 * p.size, 2, dtype=np.int32) // p
+    m = np.arange(lo, hi, 2, dtype=np.int32)
+    p = m.copy()
+    _mark(p, lo, primes)
+    m //= p
     repeated = m % p == 0
     m >>= 1
     for (f, factor), o in zip(tables, out):
@@ -319,15 +312,14 @@ def _table(limit: int, sieve: ArithSieve, dtype, factor,
 
     With ``odd`` the vector holds f(2i + 1) at entry i, for the
     (limit + 1) // 2 odd n <= limit; otherwise f(n) at entry n.  Either
-    way :func:`_piece` fills the odd n, in the view of entry i = f(2i + 1),
-    one piece of odd n in [lo, hi) at a time, with spf marked by
-    :func:`_spf_piece` at stride 2 over the odd root primes, so the
-    sieve's spf table is never read.  One gather fills each piece: as
-    spf(n) >= 3, hi <= 3 * lo puts every m = n / spf(n) < hi / 3 <= lo in
-    an earlier one, and hi <= lo + 2 * SEGMENT bounds the extra memory,
-    whatever the limit.  The full vector then takes n = 2^a * k, k odd,
-    from n / 2 by the same recurrence with p = 2, which divides n / 2
-    when a >= 2: one strided operation for each a, in increasing order.
+    way :func:`_piece` fills the odd n, entry i = f(2i + 1) of a view, a
+    piece of odd n in [lo, hi) at a time, so the sieve's spf table is
+    never read.  One gather fills each piece: as spf(n) >= 3, hi <= 3 * lo
+    puts every m = n / spf(n) < hi / 3 <= lo in an earlier one, and hi <=
+    lo + 2 * SEGMENT bounds the extra memory, whatever the limit.  The
+    full vector then takes n = 2^a * k, k odd, from n / 2 by the same
+    recurrence with p = 2, which divides n / 2 when a >= 2: one strided
+    operation for each a, in increasing order.
     """
     if not 0 <= limit <= sieve.limit:
         raise ValueError(f"table limit {limit} outside 0..{sieve.limit}")
@@ -337,8 +329,8 @@ def _table(limit: int, sieve: ArithSieve, dtype, factor,
     lo = 3
     while lo <= limit:
         hi = min(3 * lo, lo + 2 * SEGMENT, limit + 1)
-        spf = _spf_piece(lo, hi, sieve._odd_marking_primes(hi - 1), 2)
-        _piece(lo, spf, [(odds, factor)], [odds[lo >> 1:][:spf.size]])
+        _piece(lo, hi, sieve._odd_marking_primes(hi - 1), [(odds, factor)],
+               [odds[lo >> 1:hi >> 1]])
         lo = hi
     if not odd:
         step = 2
@@ -386,9 +378,8 @@ def odd_table_pieces(limit: int, sieve: ArithSieve, mu: np.ndarray,
     ascending order and of at most SEGMENT entries, are slices of them up
     to third.  Above it each piece is computed and dropped: an odd n has
     spf(n) >= 3, so m = n / spf(n) <= n / 3 <= third, and :func:`_piece`
-    reads f(m) from the tables at m >> 1, with spf(n) from
-    :func:`_spf_piece` over the odd primes up to isqrt(limit).  ``limit``
-    may reach 2 * sieve.limit + 1.
+    marks spf(n) over the odd primes up to isqrt(limit) and reads f(m)
+    from the tables at m >> 1.  ``limit`` may reach 2 * sieve.limit + 1.
     """
     third = limit // 3
     stored = (third + 1) // 2  # the odd n <= third
@@ -398,7 +389,8 @@ def odd_table_pieces(limit: int, sieve: ArithSieve, mu: np.ndarray,
     primes = sieve._odd_marking_primes(limit)
     tables = ((mu, _mu_factor), (phi, _phi_factor))
     for lo in range(max((third + 1) | 1, 3), limit + 1, 2 * SEGMENT):
-        spf = _spf_piece(lo, min(lo + 2 * SEGMENT, limit + 1), primes, 2)
-        out = np.empty(spf.size, mu.dtype), np.empty(spf.size, phi.dtype)
-        _piece(lo, spf, tables, out)
+        hi = min(lo + 2 * SEGMENT, limit + 1)
+        size = (hi - lo + 1) // 2
+        out = np.empty(size, mu.dtype), np.empty(size, phi.dtype)
+        _piece(lo, hi, primes, tables, out)
         yield lo, *out

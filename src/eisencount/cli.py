@@ -103,18 +103,27 @@ def _check_digits(variant: str, d: int, H: int) -> None:
             f"{base}^{exponent}, over the cap of {MAX_COUNT_DIGITS} digits")
 
 
+# pi(10^k) for k = 1..8, the primes a sieve to 10^k holds.
+_PRIMES_TO_POWERS_OF_TEN = (4, 25, 168, 1229, 9592, 78498, 664579, 5761455)
+
+
 def _nth_prime_bound(n: int) -> int:
     """An upper bound for the n-th prime, safe for sieve sizing.
 
-    p_n < n(ln n + ln ln n) for n >= 6 (Rosser), and p_n <=
-    n(ln n + ln ln n - 0.9484) for n >= 39017 (Dusart, Math. Comp. 68, 1999).
+    The smaller of the least 10^k, k <= 8, with pi(10^k) >= n and the bound
+    p_n < n(ln n + ln ln n) for n >= 6 (Rosser), p_n <= n(ln n + ln ln n
+    - 0.9484) for n >= 39017 (Dusart, Math. Comp. 68, 1999).
     """
     if n < 6:
-        return 13
-    x = math.log(n) + math.log(math.log(n))
-    if n >= 39017:
-        x -= 0.9484
-    return int(n * x) + 1
+        bound = 13
+    else:
+        x = math.log(n) + math.log(math.log(n))
+        if n >= 39017:
+            x -= 0.9484
+        bound = int(n * x) + 1
+    return min([bound] + [10**k for k, count in
+                          enumerate(_PRIMES_TO_POWERS_OF_TEN, start=1)
+                          if count >= n])
 
 
 def _counters(variant: str):

@@ -59,10 +59,10 @@ e (several when e > L), and flags the terms where that is non-zero.  The
 extra memory is e remainder arrays of one segment, whatever P.  A stage
 with remainders all still 0 passes 0 limbs on, and takes a limb below s
 for every term as its remainder, passing 0 on.  The series takes the
-last stage, numer = phi(s)^k and e = d+k.  A term with bitlen(phi^k) + P
-<= (d+k) * (bitlen(s) - 1) is below 1, so it skips the stages: its
-quotient is 0 and it is inexact.  At 96 bits that is no term at d = 2,
-99.9% of the terms below 10^6 at d = 10 and every term from d = 97 on.
+last stage, numer = phi(s)^k and e = d+k, for s below 2^ceil(P/d).  From
+there on, as phi(s) < s, a term is below 2^P / s^d <= 1: quotient 0 and
+inexact, with no division.  At 96 bits that cut is 2^48 at d = 2, past
+every modulus, 2^10 at d = 10 and 2 from d = 96 on, below every term.
 The product takes every stage, numer = 1 and P = Q, over pieces of at
 most SEGMENT primes of one bit length b: these primes are at least
 2^(b-1), so their floors are 0 by stage Q // (b-1) + 1, and the pieces'
@@ -242,28 +242,15 @@ def _floor_sum(numer: np.ndarray, s: np.ndarray, expo: int,
     whose division is inexact: at 2s, those inexact at s or whose q
     has a non-zero bit below expo.  ``numer`` (below 2^56) and ``s``
     (2 <= s < 2^28) are integer arrays of equal length, as for
-    :func:`_stage_sums`.
+    :func:`_stage_sums`, which divides every term: the series passes
+    only the terms below its cut (see the module docstring).
     """
-    numer = numer.astype(np.uint64, copy=False)
-    s = s.astype(np.uint64, copy=False)
-    # A term with numer < 2^room, room = expo * (bitlen(s) - 1) - P, is
-    # below 2^(room+P) <= s^expo: its quotient is 0 and, as numer >= 1, it
-    # is inexact at s and at 2s, so it skips the stages.  No term can when
-    # the largest s leaves room < 1, as at d = 2.  frexp gives bitlen(s)
-    # exactly, as s < 2^28 is exact in float64; clipping room to 0..63
-    # changes no comparison, as 1 <= numer < 2^56.
-    dropped = 0
-    if s.size and expo * (int(s.max()).bit_length() - 1) > precision_bits:
-        room = expo * (np.frexp(s.astype(np.float64))[1].astype(np.int64) - 1)
-        room = np.clip(room - precision_bits, 0, 63).astype(np.uint64)
-        small = numer < np.left_shift(np.uint64(1), room)
-        dropped = int(np.count_nonzero(small))
-        numer, s = numer[~small], s[~small]
-    totals, inexact, low, low_flags = _stage_sums(numer, s, expo,
-                                                  precision_bits)
-    return (totals[-1], dropped + int(np.count_nonzero(inexact)),
+    totals, inexact, low, low_flags = _stage_sums(
+        numer.astype(np.uint64, copy=False), s.astype(np.uint64, copy=False),
+        expo, precision_bits)
+    return (totals[-1], int(np.count_nonzero(inexact)),
             (totals[-1] - low) >> expo,
-            dropped + int(np.count_nonzero(inexact | low_flags)))
+            int(np.count_nonzero(inexact | low_flags)))
 
 
 def _prime_power_sums(sieve: ArithSieve, first: int, stop: int,
@@ -435,6 +422,9 @@ def _series_estimate(kind: str, d: int, sieve: ArithSieve, series_limit: int,
     sums = {-1: [0, 0], 1: [0, 0]}
     if series_limit >= 2:
         sums[-1] = [one >> expo, int(precision_bits < expo)]
+    # As phi(s) < s, a term with s >= tiny is below 2^P / s^d <= 1 unit:
+    # floor 0 and inexact, as is its partner 2s.
+    tiny = 1 << _ceil_div(precision_bits, d)
     for start, signs, totients in odd_table_pieces(series_limit, sieve, mu,
                                                    phi):
         # Entry i is s = start + 2i.  An odd s <= S // 2 also stands for
@@ -442,10 +432,16 @@ def _series_estimate(kind: str, d: int, sieve: ArithSieve, series_limit: int,
         # int32 to uint64, phi(s)^k is exact: phi(s) < s <=
         # 2 * MAX_SIEVE_LIMIT + 1, so phi(s)^2 < 2^56.
         paired = min(max((half - start) // 2 + 1, 0), signs.size)
+        cut = min(max((tiny - start + 1) // 2, 0), signs.size)
         for begin, end, pairs in ((0, paired, True),
                                   (paired, signs.size, False)):
+            split = min(max(cut, begin), end)
             for sign in (-1, 1):
-                at = np.flatnonzero(signs[begin:end] == sign)
+                past = int(np.count_nonzero(signs[split:end] == sign))
+                sums[sign][1] += past
+                if pairs:
+                    sums[-sign][1] += past
+                at = np.flatnonzero(signs[begin:split] == sign)
                 if not at.size:
                     continue
                 at += begin

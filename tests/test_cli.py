@@ -336,7 +336,8 @@ def test_density_both_refuses_before_any_work(runner, monkeypatch):
     (["--method", "both", "--prime-count", "78497", "--series-limit",
       "1999999"], cli._nth_prime_bound(78497)),
     (["--method", "product"], cli._nth_prime_bound(10000)),
-], ids=["series", "both", "product"])
+    (["--method", "product", "--prime-count", "664579"], 10**7),
+], ids=["series", "both", "product", "product-pi-1e7"])
 def test_density_sizes_the_sieve_to_what_the_routes_need(runner, monkeypatch,
                                                          argv, limit):
     # The series needs a sieve to S // 2 for its root primes, the product
@@ -353,6 +354,21 @@ def test_density_sizes_the_sieve_to_what_the_routes_need(runner, monkeypatch,
                                       *argv])
     assert result.exit_code == 0
     assert limits == [limit]
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_prime_counts_at_powers_of_ten_match_the_sieve(k):
+    assert (cli._PRIMES_TO_POWERS_OF_TEN[k - 1]
+            == arith.build_sieve(10**k).primes.size)
+
+
+def test_nth_prime_bound_takes_the_power_of_ten_that_holds_n_primes():
+    # pi(10^7) = 664,579, the last of them 9,999,991, where the analytic
+    # bound asks for 10,004,758, above the default --sieve-limit.
+    assert cli._nth_prime_bound(664579) == 10**7
+    assert cli._nth_prime_bound(78498) == 10**6
+    assert 10**7 < cli._nth_prime_bound(664580) < 2 * 10**7
+    assert cli._nth_prime_bound(10000) == 114307
 
 
 def test_nth_prime_bound_holds_up_to_210000():

@@ -204,7 +204,7 @@ def _reference_series_sum(kind, d, sieve, limits, precisions):
 
 SERIES_LIMITS = (1, 2, 3, SEGMENT + 1, SEGMENT + 2, 2 * SEGMENT + 2,
                  3 * SEGMENT)
-SERIES_DEGREES = (2, 3, 7, 10, 40, 100)
+SERIES_DEGREES = (2, 3, 6, 7, 10, 40, 100)
 SERIES_BITS = (60, 61, 96, 127, 1024)
 
 
@@ -272,8 +272,9 @@ _terms = st.lists(
 # The series' largest modulus, 2 * MAX_SIEVE_LIMIT + 1, under 2^28.
 @example(terms=[(2 * MAX_SIEVE_LIMIT + 1, 2**56 - 1), (2, 1),
                 (2**27, 2**55)], expo=12, bits=300)
-# bitlen(numer) + P = expo * (bitlen(s) - 1) exactly: q = 0 for 2^12 - 1,
-# q = 1 (exact) for 2^12, and the same pair one bit under the line.
+# numer * 2^P at and just under s^expo = 2^312: q = 1, exact, for 2^12 and
+# q = 0 for 2^12 - 1; at s = 2^27 - 1, whose s^expo is above 2^323, both
+# are 0.
 @example(terms=[(2**26, 2**12 - 1), (2**26, 2**12), (2**27 - 1, 2**12 - 1),
                 (2**27 - 1, 2**12)], expo=12, bits=300)
 # A stage whose remainders are all 0 takes the limb as its remainder when
@@ -364,6 +365,31 @@ def test_series_at_the_first_partners_matches_the_reference(big_sieve, limit):
             for bits in bits_list:
                 est = fn(d, big_sieve, series_limit=limit, precision_bits=bits)
                 assert (est.value, est.lower, est.upper) == want[bits, limit]
+
+
+@pytest.mark.parametrize("d", [6, 10, 100])
+def test_series_divides_only_below_its_cut(big_sieve, series_reference,
+                                           monkeypatch, d):
+    # As phi(s) < s, each term with s >= 2^ceil(P/d) is below 2^P / s^d
+    # <= 1 unit: floor 0 and inexact, with no division.  At 96 bits the
+    # cut is 2^16 = S // 3 at d = 6, the end of the stored slices, 2^10
+    # at d = 10 and 2 at d = 100, where no term divides.
+    largest = []
+
+    def recorded(numer, s, expo, precision_bits):
+        largest.append(int(s.max()))
+        return _floor_sum(numer, s, expo, precision_bits)
+
+    monkeypatch.setattr(eisencount.density, "_floor_sum", recorded)
+    limit = 3 * SEGMENT
+    for fn in (theta_series, rho_series):
+        kind = fn.__name__.split("_")[0]
+        est = fn(d, big_sieve, series_limit=limit, precision_bits=96)
+        assert ((est.value, est.lower, est.upper)
+                == series_reference(kind, d)[96, limit])
+    cut = 1 << -(-96 // d)
+    assert max(largest, default=0) < cut
+    assert bool(largest) == (cut > 3)
 
 
 def _prime_at_most(n):
