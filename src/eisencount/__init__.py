@@ -5,8 +5,13 @@ Moebius inclusion-exclusion cross-checked against brute-force enumeration,
 and density constants evaluated from both their Euler products and their
 alternating series, each with a bracket guaranteed to contain the true
 value.
+
+Every name in ``__all__`` loads its submodule on first use (PEP 562), so
+``import eisencount`` loads no layer, and ``import eisencount.cli`` only
+the ones every subcommand needs.
 """
 
+import importlib
 import os
 
 # eisencount calls no BLAS routine (its one matmul is int64, which numpy
@@ -15,34 +20,38 @@ import os
 # This runs before any submodule imports numpy; a value the caller set wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .arith import (ArithSieve, Factorization, build_sieve, euler_phi,
-                    factorize, mobius, mobius_table, omega, phi_bounded, tau,
-                    totient_table)
-from .counting import (count_general_eisenstein, count_general_s,
-                       count_monic_eisenstein, count_monic_s)
-from .density import (DensityEstimate, asymptotic_main, refined_asymptotic_theta,
-                      rho_product, rho_series, theta_product, theta_series)
-from .errors import BudgetExceededError, InvariantError
-from .oracle import (Polynomial, brute_count_general, brute_count_monic,
-                     eisenstein_witnesses, is_eisenstein)
-from .report import (DensityTable, ErrorTermRow, density_table, emit_csv,
-                     emit_json, error_term_profile)
-from .results import ExactCount
-
 __version__ = "1.0.0"
 
-__all__ = [
-    "ArithSieve", "Factorization", "build_sieve", "factorize", "mobius",
-    "euler_phi", "omega", "tau", "phi_bounded", "mobius_table",
-    "totient_table",
-    "Polynomial", "eisenstein_witnesses", "is_eisenstein",
-    "brute_count_monic", "brute_count_general",
-    "ExactCount", "count_monic_s", "count_general_s",
-    "count_monic_eisenstein", "count_general_eisenstein",
-    "DensityEstimate", "theta_product", "rho_product", "theta_series",
-    "rho_series", "asymptotic_main", "refined_asymptotic_theta",
-    "DensityTable", "ErrorTermRow", "density_table", "error_term_profile",
-    "emit_csv", "emit_json",
-    "BudgetExceededError", "InvariantError",
-    "__version__",
-]
+# The public names of each submodule.
+_EXPORTS = {
+    "arith": ("ArithSieve", "Factorization", "build_sieve", "factorize",
+              "mobius", "euler_phi", "omega", "tau", "phi_bounded",
+              "mobius_table", "totient_table"),
+    "oracle": ("Polynomial", "eisenstein_witnesses", "is_eisenstein",
+               "brute_count_monic", "brute_count_general"),
+    "results": ("ExactCount",),
+    "counting": ("count_monic_s", "count_general_s",
+                 "count_monic_eisenstein", "count_general_eisenstein"),
+    "density": ("DensityEstimate", "theta_product", "rho_product",
+                "theta_series", "rho_series", "asymptotic_main",
+                "refined_asymptotic_theta"),
+    "report": ("DensityTable", "ErrorTermRow", "density_table",
+               "error_term_profile", "emit_csv", "emit_json"),
+    "errors": ("BudgetExceededError", "InvariantError"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in names}
+
+__all__ = [*_MODULE_OF, "__version__"]
+
+
+def __getattr__(name):
+    """A public name, from its submodule."""
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{_MODULE_OF[name]}")
+    return getattr(module, name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -25,7 +25,7 @@ holds f(2i + 1) at entry i; the Moebius series reads only odd moduli.
 The tables are as narrow as their values: int8 for mu and int32 for phi
 (phi(n) < n <= 2 * MAX_SIEVE_LIMIT + 1 < 2^31), so callers widen them
 before they multiply.  :func:`odd_table_pieces` streams both at the odd
-n up to three times an odd table's limit.
+n up to three times an odd table's limit, phi only below a given cut.
 """
 
 from __future__ import annotations
@@ -368,8 +368,8 @@ def totient_table(limit: int, sieve: ArithSieve, *,
 
 
 def odd_table_pieces(limit: int, sieve: ArithSieve, mu: np.ndarray,
-                     phi: np.ndarray) -> Iterator[tuple[int, np.ndarray,
-                                                        np.ndarray]]:
+                     phi: np.ndarray, cut: int
+                     ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Yield (lo, mu, phi) over pieces covering the odd n of 3..limit.
 
     Entry i of a piece is n = lo + 2i.  ``mu`` and ``phi`` are the odd
@@ -380,6 +380,11 @@ def odd_table_pieces(limit: int, sieve: ArithSieve, mu: np.ndarray,
     spf(n) >= 3, so m = n / spf(n) <= n / 3 <= third, and :func:`_piece`
     marks spf(n) over the odd primes up to isqrt(limit) and reads f(m)
     from the tables at m >> 1.  ``limit`` may reach 2 * sieve.limit + 1.
+
+    phi is wanted only below ``cut``: ``phi`` need only reach min(third,
+    cut), and each piece's phi holds at least its entries below the cut,
+    from the start of the piece.  A computed piece from the cut on fills
+    mu alone and yields phi empty.
     """
     third = limit // 3
     stored = (third + 1) // 2  # the odd n <= third
@@ -391,6 +396,7 @@ def odd_table_pieces(limit: int, sieve: ArithSieve, mu: np.ndarray,
     for lo in range(max((third + 1) | 1, 3), limit + 1, 2 * SEGMENT):
         hi = min(lo + 2 * SEGMENT, limit + 1)
         size = (hi - lo + 1) // 2
-        out = np.empty(size, mu.dtype), np.empty(size, phi.dtype)
-        _piece(lo, hi, primes, tables, out)
+        both = lo < cut
+        out = np.empty(size, mu.dtype), np.empty(size * both, phi.dtype)
+        _piece(lo, hi, primes, tables[:1 + both], out)
         yield lo, *out

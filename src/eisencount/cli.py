@@ -6,6 +6,13 @@ EISEN_SIEVE_LIMIT, EISEN_ENUMERATION_BUDGET, EISEN_PRECISION_BITS or
 EISEN_OUTPUT_FORMAT (flags beat environment, environment beats defaults),
 and subcommand options read none.  Exit codes are a stable contract:
 0 success, 2 bad usage, 3 resource refusal, 4 verification failure.
+
+Importing this module loads only what every subcommand needs: click,
+``arith``, ``errors``, ``results`` (the option defaults) and the small
+``oracle`` (the enumeration budget and the brute-force counters).  Each
+command imports its own layers when it runs: ``count`` and ``verify``
+``counting``, ``density`` the density layer, and ``table`` and
+``error-term`` ``report``, which brings in both.
 """
 
 from __future__ import annotations
@@ -20,17 +27,13 @@ from dataclasses import dataclass
 
 import click
 
-from . import report
 from .arith import DEFAULT_SIEVE_LIMIT, build_sieve
-from .counting import (count_general_eisenstein, count_monic_eisenstein,
-                       sieve_limit)
-from .density import (DEFAULT_PRECISION_BITS, DEFAULT_PRIME_COUNT,
-                      DEFAULT_SERIES_LIMIT, KINDS, MIN_PRECISION_BITS,
-                      rho_product, rho_series, theta_product, theta_series)
 from .errors import BudgetExceededError, InvariantError
 from .oracle import (DEFAULT_ENUMERATION_BUDGET, brute_count_general,
                      brute_count_monic)
-from .results import VARIANTS, check_box
+from .results import (DEFAULT_PRECISION_BITS, DEFAULT_PRIME_COUNT,
+                      DEFAULT_SERIES_LIMIT, KINDS, MIN_PRECISION_BITS,
+                      VARIANTS, check_box)
 
 
 @dataclass(frozen=True)
@@ -128,9 +131,10 @@ def _nth_prime_bound(n: int) -> int:
 
 def _counters(variant: str):
     """The variant's (inclusion-exclusion, brute-force) counters."""
+    from . import counting
     if variant == "monic":
-        return count_monic_eisenstein, brute_count_monic
-    return count_general_eisenstein, brute_count_general
+        return counting.count_monic_eisenstein, brute_count_monic
+    return counting.count_general_eisenstein, brute_count_general
 
 
 def _sieve_for(cfg: CliConfig, needed: int):
@@ -169,6 +173,7 @@ def _emit(fmt: str, obj, render_text) -> None:
     Only a text run calls ``render_text``, so a CSV or JSON run formats
     each value once.
     """
+    from . import report
     if fmt == "csv":
         click.echo(report.emit_csv(obj), nl=False)
     elif fmt == "json":
@@ -183,7 +188,7 @@ def _table_text(table) -> list[str]:
 
 
 def _profile_text(rows) -> list[str]:
-    real = report._format_real
+    from .report import _format_real as real
     return ["H  exact  main  residual  ratio",
             *(f"{r.height}  {r.exact}  {real(r.main)}  {real(r.residual)}  "
               f"{real(r.ratio)}" for r in rows)]
@@ -227,6 +232,7 @@ def main(ctx, sieve_limit, enumeration_budget, precision_bits, output_format):
 @_guarded
 def cmd_count(cfg: CliConfig, degree, height, variant, method):
     """Count Eisenstein polynomials of one degree and height bound."""
+    from .counting import sieve_limit
     exact = brute = None
     fast_fn, brute_fn = _counters(variant)
     if method != "exact":  # refuse an oversized box before the sieve
@@ -261,6 +267,7 @@ def cmd_count(cfg: CliConfig, degree, height, variant, method):
 def cmd_density(cfg: CliConfig, degree, kind, prime_count, series_limit,
                 method):
     """Evaluate a density constant with its rigorous bracket."""
+    from .density import rho_product, rho_series, theta_product, theta_series
     product = method in ("product", "both")
     series = method in ("series", "both")
     for flag, value, used in (("--prime-count", prime_count, product),
@@ -289,8 +296,8 @@ def cmd_density(cfg: CliConfig, degree, kind, prime_count, series_limit,
                             precision_bits=cfg.precision_bits))
     for est in estimates:
         if est.lower <= 0:
-            raise report.not_separated(est, cfg.precision_bits,
-                                       est.truncation[0])
+            from .report import not_separated
+            raise not_separated(est, cfg.precision_bits, est.truncation[0])
     for est in estimates:
         name, param = est.truncation
         click.echo(
@@ -317,6 +324,7 @@ def cmd_density(cfg: CliConfig, degree, kind, prime_count, series_limit,
 @_guarded
 def cmd_table(cfg: CliConfig, degrees, prime_count, fmt):
     """Tabulate theta and rho over a degree range at display precision."""
+    from . import report
     d_min, d_max = degrees
     sieve = _sieve_for(cfg, _nth_prime_bound(prime_count))
     table = report.density_table(d_min, d_max, sieve, prime_count=prime_count,
@@ -378,6 +386,8 @@ def cmd_verify(cfg: CliConfig, max_degree, max_height):
 @_guarded
 def cmd_error_term(cfg: CliConfig, variant, degree, heights, prime_count, fmt):
     """Profile exact counts against main terms along a height ladder."""
+    from . import report
+    from .counting import sieve_limit
     report.check_heights(heights)  # bad usage before any sizing refusal
     needed = max(_nth_prime_bound(prime_count),
                  *(sieve_limit(variant, h) for h in heights))
@@ -394,8 +404,9 @@ def run() -> None:
     """The console entry: ``main()`` with the import heap frozen.
 
     A command's process exits soon after it starts, and the interpreter's
-    exit collection would walk the ~22,600 container objects alive once
-    numpy, click and eisencount are loaded.  Frozen objects are never
+    exit collection would walk the ~22,000 container objects alive once
+    numpy, click and this module's imports are loaded; the layers a
+    command loads later add about 900.  Frozen objects are never
     collected.  No collection runs before the freeze: after the imports
     one finds no unreachable object, and it would cost a full walk of
     the same heap.  A library import, or a caller of ``main`` (click's

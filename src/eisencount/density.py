@@ -61,12 +61,16 @@ with remainders all still 0 passes 0 limbs on, and takes a limb below s
 for every term as its remainder, passing 0 on.  The series takes the
 last stage, numer = phi(s)^k and e = d+k, for s below 2^ceil(P/d).  From
 there on, as phi(s) < s, a term is below 2^P / s^d <= 1: quotient 0 and
-inexact, with no division.  At 96 bits that cut is 2^48 at d = 2, past
-every modulus, 2^10 at d = 10 and 2 from d = 96 on, below every term.
-The product takes every stage, numer = 1 and P = Q, over pieces of at
-most SEGMENT primes of one bit length b: these primes are at least
-2^(b-1), so their floors are 0 by stage Q // (b-1) + 1, and the pieces'
-stage sums add up to the S(s).
+inexact, with no division, and only the sign of mu(s) is read, so phi is
+tabled and filled only below the cut.  At 96 bits that cut is 2^48 at
+d = 2, past every modulus, 2^10 at d = 10 and 2 from d = 96 on, below
+every term.
+The product takes every stage, numer = 1 and P = Q, over pieces of
+primes of one bit length b: these primes are at least 2^(b-1), so their
+floors are 0 by stage e = Q // (b-1) + 1, and the pieces' stage sums add
+up to the S(s).  A piece holds SEGMENT // e primes, so its e remainder
+arrays take at most SEGMENT entries, 7 arrays of 9362 for the primes
+from 2^19 to 2^22 at the default Q = 128.
 
 The series divides only at odd s.  An even square-free s = 2m has m odd,
 mu(2m) = -mu(m) and phi(2m) = phi(m), so its floor is q(2m) =
@@ -87,7 +91,8 @@ moduli up to S // 3 are read from the odd tables (``odd=True``) in
 contiguous slices, and those above come in pieces of at most SEGMENT,
 each with its spf from marking the odd primes up to isqrt(S) at stride
 2p, filled from the tables' entries at m >> 1, summed and dropped
-(:func:`arith.odd_table_pieces`).  The tables take 5 ((S // 3 + 1) // 2)
+(:func:`arith.odd_table_pieces`); phi stops at the cut 2^ceil(P/d)
+when that comes first.  The tables take at most 5 ((S // 3 + 1) // 2)
 bytes, and a sieve to n serves every S <= 2n + 1, as its root primes
 reach isqrt(2n + 1).
 """
@@ -105,18 +110,10 @@ import numpy as np
 from .arith import (SEGMENT, ArithSieve, mobius_table, odd_table_pieces,
                     totient_table)
 from .errors import InvariantError, check_degree
+from .results import (DEFAULT_PRECISION_BITS, DEFAULT_PRIME_COUNT,
+                      DEFAULT_SERIES_LIMIT, KINDS, MIN_PRECISION_BITS, POWERS)
 
-# k = POWERS[kind] counts the coefficients that must be units mod p: a_0/p,
-# and for rho also a_d.  It alone tells theta from rho, as the exponent in
-# the factor (p-1)^k / p^(d+k), the numerator phi(s)^k and 1/2^(d+k).
-POWERS = {"theta": 1, "rho": 2}
-KINDS = tuple(POWERS)
 ESTIMATE_METHODS = ("euler_product", "mobius_series")
-
-MIN_PRECISION_BITS = 60
-DEFAULT_PRECISION_BITS = 96
-DEFAULT_PRIME_COUNT = 10000
-DEFAULT_SERIES_LIMIT = 10**6
 # Extra bits the product's power sums carry beyond precision_bits.
 GUARD_BITS = 32
 
@@ -274,10 +271,12 @@ def _cached_power_sums(sieve: weakref.ref, first: int, stop: int,
     # Entry bits + 1 is 0, as every p^(bits+1) > 2^bits.
     sums = [primes.size << bits] + [0] * (bits + 1)
     for b in range(2, top + 1):
-        for at in range(edges[b - 1], edges[b], SEGMENT):
-            p = primes[at:min(at + SEGMENT, edges[b])].astype(np.uint64)
-            totals = _stage_sums(np.ones_like(p), p, bits // (b - 1) + 1,
-                                 bits)[0]
+        # A piece's stages x primes remainders stay within SEGMENT entries.
+        stages = bits // (b - 1) + 1
+        step = SEGMENT // stages
+        for at in range(edges[b - 1], edges[b], step):
+            p = primes[at:min(at + step, edges[b])].astype(np.uint64)
+            totals = _stage_sums(np.ones_like(p), p, stages, bits)[0]
             for s, total in enumerate(totals, start=1):
                 sums[s] += total
     return tuple(sums[:sums.index(0) + 1])
@@ -413,20 +412,20 @@ def _series_estimate(kind: str, d: int, sieve: ArithSieve, series_limit: int,
     one = 1 << precision_bits
     k = POWERS[kind]
     expo = d + k
+    # As phi(s) < s, a term with s >= tiny is below 2^P / s^d <= 1 unit:
+    # floor 0 and inexact, as is its partner 2s.  Only its sign is read.
+    tiny = 1 << _ceil_div(precision_bits, d)
     third = series_limit // 3
     mu = mobius_table(third, sieve, odd=True)
-    phi = totient_table(third, sieve, odd=True)
+    phi = totient_table(min(third, tiny), sieve, odd=True)
     # sums[sign] = [sum of floors, inexact terms] over the moduli s with
     # mu(s) = sign.  s = 2 pairs with m = 1, which is no term: its floor
     # is 2^(P-e), inexact when P < e.
     sums = {-1: [0, 0], 1: [0, 0]}
     if series_limit >= 2:
         sums[-1] = [one >> expo, int(precision_bits < expo)]
-    # As phi(s) < s, a term with s >= tiny is below 2^P / s^d <= 1 unit:
-    # floor 0 and inexact, as is its partner 2s.
-    tiny = 1 << _ceil_div(precision_bits, d)
     for start, signs, totients in odd_table_pieces(series_limit, sieve, mu,
-                                                   phi):
+                                                   phi, tiny):
         # Entry i is s = start + 2i.  An odd s <= S // 2 also stands for
         # 2s, with mu(2s) = -mu(s) and phi(2s) = phi(s).  Widened from
         # int32 to uint64, phi(s)^k is exact: phi(s) < s <=

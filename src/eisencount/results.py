@@ -2,6 +2,8 @@
 
 Kept apart from both routes so that neither imports the other: the
 brute-force oracle stays an independent check on inclusion-exclusion.
+It also holds the variants' and kinds' exponents and the density
+defaults, which the CLI reads when it declares its options.
 """
 
 from __future__ import annotations
@@ -11,10 +13,23 @@ from dataclasses import dataclass
 from .errors import BudgetExceededError, InvariantError
 
 # k = VARIANTS[variant] counts the coefficients that must be units mod the
-# witness prime (a_0/p, and for general also a_d): density.POWERS' k.  A
+# witness prime (a_0/p, and for general also a_d): POWERS' k.  A
 # polynomial of degree d has d + k - 1 free coefficients.
 VARIANTS = {"monic": 1, "general": 2}
 METHODS = ("brute", "inclusion_exclusion")
+
+# k = POWERS[kind] counts the coefficients that must be units mod p: a_0/p,
+# and for rho also a_d.  It alone tells theta from rho, as the exponent in
+# the factor (p-1)^k / p^(d+k), the numerator phi(s)^k and 1/2^(d+k).
+POWERS = {"theta": 1, "rho": 2}
+KINDS = tuple(POWERS)
+
+# The density routes' settings, here so that the CLI declares its options
+# without loading the density layer.
+MIN_PRECISION_BITS = 60
+DEFAULT_PRECISION_BITS = 96
+DEFAULT_PRIME_COUNT = 10000
+DEFAULT_SERIES_LIMIT = 10**6
 
 
 def box_size(variant: str, d: int, H: int) -> int:

@@ -463,7 +463,8 @@ def test_odd_table_pieces_give_every_odd_modulus_once(limit):
     sieve = build_sieve(max(limit // 2, 2))
     mu = mobius_table(third, sieve, odd=True)
     phi = totient_table(third, sieve, odd=True)
-    pieces = list(arith.odd_table_pieces(limit, sieve, mu, phi))
+    # A cut past the limit: phi is wanted everywhere.
+    pieces = list(arith.odd_table_pieces(limit, sieve, mu, phi, limit + 1))
     start = 3
     for lo, mu_piece, phi_piece in pieces:
         assert lo == start and 0 < mu_piece.size == phi_piece.size <= SEGMENT
@@ -480,6 +481,32 @@ def test_odd_table_pieces_give_every_odd_modulus_once(limit):
         got = [piece[at] for piece in pieces]
         assert np.array_equal(np.concatenate([np.zeros(0), *got]),
                               table(limit, exact)[3::2]), table.__name__
+
+
+@pytest.mark.parametrize("limit, cut", [
+    (6 * SEGMENT + 7, 1 << 10), (6 * SEGMENT + 7, 2 * SEGMENT),
+    (6 * SEGMENT + 7, 4 * SEGMENT + 1), (3 * 257**2 - 1, 3),
+    (3 * SEGMENT + 7, 1 << 48)])
+def test_odd_table_pieces_fill_phi_only_below_the_cut(limit, cut):
+    # Below the third phi comes from a table to min(third, cut); above it
+    # a piece that starts at or past the cut fills mu alone.
+    third = limit // 3
+    sieve = build_sieve(limit // 2)
+    mu = mobius_table(third, sieve, odd=True)
+    phi = totient_table(min(third, cut), sieve, odd=True)
+    pieces = list(arith.odd_table_pieces(limit, sieve, mu, phi, cut))
+    exact = build_sieve(limit)
+    want_mu = _reference_mobius_table(limit, exact)
+    want_phi = _reference_totient_table(limit, exact)
+    for lo, mu_piece, phi_piece in pieces:
+        n = np.arange(lo, lo + 2 * mu_piece.size, 2)
+        assert np.array_equal(mu_piece, want_mu[n])
+        below = int(np.count_nonzero(n < cut))
+        assert below <= phi_piece.size <= mu_piece.size
+        assert np.array_equal(phi_piece, want_phi[n[:phi_piece.size]])
+        if lo > third:
+            assert phi_piece.size == (mu_piece.size if lo < cut else 0)
+    assert lo + 2 * (mu_piece.size - 1) == limit - (limit % 2 == 0)
 
 
 @pytest.fixture(scope="module")

@@ -8,11 +8,16 @@ expects are still reached through those names.  It loads
 ``perfbench/workloads.py`` the same way and parses every command line
 the benchmark can run, so a CLI change that breaks one fails here too,
 and checks the default ``verify`` output against the one recorded there.
+Commands load their own layers when they run, so it also checks that one
+pass of each workload, in a fresh interpreter, loads every layer the
+trace wraps.
 """
 
 import importlib.util
 import inspect
 import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -76,7 +81,8 @@ def test_series_reaches_each_table_once_through_its_traced_name(
     # spans, which exist only if the series calls the very functions that
     # spans.py finds, by identity, in the density namespace.  Each table
     # holds only the odd moduli and stops at S // 3: those above it come
-    # from pieces.
+    # from pieces.  phi stops sooner at the cut 2^ceil(96/d), 2^10 at
+    # d = 10, past which only the sign of mu is read.
     calls = Counter()
     for name in ("mobius_table", "totient_table"):
         original = getattr(density, name)
@@ -88,9 +94,11 @@ def test_series_reaches_each_table_once_through_its_traced_name(
             return _original(limit, *args, **kwargs)
 
         monkeypatch.setattr(density, name, counted)
-    series(3, sieve, series_limit=5000)
-    assert calls == {("mobius_table", 5000 // 3): 1,
-                     ("totient_table", 5000 // 3): 1}
+    for d, phi_limit in ((3, 5000 // 3), (10, 1 << 10)):
+        calls.clear()
+        series(d, sieve, series_limit=5000)
+        assert calls == {("mobius_table", 5000 // 3): 1,
+                         ("totient_table", phi_limit): 1}, d
 
 
 def test_every_benchmark_command_line_parses(workloads, parsed):
@@ -128,3 +136,34 @@ def test_no_benchmark_error_term_line_hits_the_rounding_floor(workloads,
             prime_count=options["prime_count"],
             precision_bits=cfg.precision_bits)
         assert len(rows) == 1
+
+
+# One pass of a workload's command lines through cli.main, output dropped;
+# then the loaded eisencount modules.
+_ONE_PASS = """
+import contextlib, io, sys
+import eisencount.cli as cli
+for argv in {lines!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main.main(argv, standalone_mode=False)
+print(*sorted(m for m in sys.modules if m.startswith("eisencount.")))
+"""
+
+
+def test_one_pass_of_each_workload_loads_every_traced_layer(spans,
+                                                            workloads):
+    # The traced run wraps the functions of every spans.LAYERS module it
+    # finds in sys.modules after one untraced pass; importing the CLI
+    # alone no longer loads them all.
+    env = {k: v for k, v in os.environ.items() if not k.startswith("EISEN_")}
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    for workload in workloads.WORKLOADS:
+        lines = workloads.commands(workload, 1)
+        done = subprocess.run(
+            [sys.executable, "-c", _ONE_PASS.format(lines=lines)],
+            env={**env, "PYTHONPATH": src}, capture_output=True, text=True,
+            timeout=120)
+        assert done.returncode == 0, (workload, done.stderr)
+        loaded = done.stdout.split()
+        assert [layer for layer in spans.LAYERS
+                if f"eisencount.{layer}" not in loaded] == [], workload

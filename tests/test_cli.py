@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from eisencount import arith, cli, report
+from eisencount import arith, cli, counting, density, report
 from eisencount.counting import (MAX_MONIC_HEIGHT, ExactCount,
                                  count_monic_eisenstein, sieve_limit)
 from eisencount.density import DensityEstimate, theta_product
@@ -81,17 +81,21 @@ def test_flag_beats_environment(runner):
 
 
 def _forbid(monkeypatch, *names):
-    """Make each named step of the CLI fail the test if it runs."""
+    """Make each named step of the CLI fail the test if it runs.
+
+    Each name is ``module.attr`` in eisencount: a command imports its own
+    layer when it runs, so a patch there takes effect.
+    """
     def forbidden(*args, **kwargs):
         raise AssertionError("work started before the refusal")
     for name in names:
-        monkeypatch.setattr(cli, name, forbidden)
+        monkeypatch.setattr(f"eisencount.{name}", forbidden)
 
 
 def test_sieve_limit_env_refuses_large_heights(runner, monkeypatch):
     # A monic count sieves only to its cut, about H^(2/3): 10^4 at 10^6.
     # build_sieve refuses before it allocates (test_arith).
-    _forbid(monkeypatch, "count_monic_eisenstein")
+    _forbid(monkeypatch, "counting.count_monic_eisenstein")
     result = runner.invoke(cli.main, ["count", "--degree", "2", "--height",
                                       str(10**6), "--variant", "monic"],
                            env={"EISEN_SIEVE_LIMIT": "9999"})
@@ -101,7 +105,7 @@ def test_sieve_limit_env_refuses_large_heights(runner, monkeypatch):
 
 def test_sieve_limit_flag_cannot_raise_the_hard_cap(runner, monkeypatch):
     monkeypatch.setattr(arith, "MAX_SIEVE_LIMIT", 1000)
-    _forbid(monkeypatch, "count_monic_eisenstein")
+    _forbid(monkeypatch, "counting.count_monic_eisenstein")
     # The cut at 10^5 is 2173, over the patched cap of 1000.
     result = runner.invoke(cli.main, ["--sieve-limit", str(10**10), "count",
                                       "--degree", "2", "--height", str(10**5),
@@ -117,7 +121,8 @@ def test_sieve_limit_flag_cannot_raise_the_hard_cap(runner, monkeypatch):
 ], ids=["count", "error-term"])
 def test_monic_height_cap_is_refused_before_any_work(runner, monkeypatch,
                                                      argv):
-    _forbid(monkeypatch, "build_sieve", "count_monic_eisenstein")
+    _forbid(monkeypatch, "cli.build_sieve",
+            "counting.count_monic_eisenstein")
     result = runner.invoke(cli.main, ["--sieve-limit", str(10**8), *argv])
     assert result.exit_code == 3
     assert f"cap {MAX_MONIC_HEIGHT}" in result.output
@@ -143,7 +148,8 @@ def test_count_sizes_the_sieve_to_what_the_count_needs(runner, monkeypatch,
 
 def test_count_both_refuses_the_brute_box_before_the_sieve(runner,
                                                           monkeypatch):
-    _forbid(monkeypatch, "build_sieve", "count_monic_eisenstein")
+    _forbid(monkeypatch, "cli.build_sieve",
+            "counting.count_monic_eisenstein")
     result = runner.invoke(cli.main, ["count", "-d", "3", "-H", str(10**10),
                                       "--variant", "monic", "--method", "both"])
     assert result.exit_code == 3
@@ -192,7 +198,7 @@ def test_count_prints_a_count_past_the_int_digit_limit(runner, sieve):
 def test_count_past_the_digit_cap_is_refused_at_once(runner, monkeypatch,
                                                     argv):
     # A monic count at d = 10^6, H = 100 has about 2.3e6 digits.
-    _forbid(monkeypatch, "build_sieve")
+    _forbid(monkeypatch, "cli.build_sieve")
     start = time.perf_counter()
     result = runner.invoke(cli.main, argv)
     assert time.perf_counter() - start < 1
@@ -214,7 +220,7 @@ def test_count_broken_invariant_exits_4(runner, monkeypatch):
     def impossible(d, H, sieve, **kwargs):
         return ExactCount(value=-1, degree=d, height=H, variant="monic",
                           method="inclusion_exclusion")
-    monkeypatch.setattr(cli, "count_monic_eisenstein", impossible)
+    monkeypatch.setattr(counting, "count_monic_eisenstein", impossible)
     result = runner.invoke(cli.main, ["count", "--degree", "2", "--height", "2",
                                       "--variant", "monic"])
     assert result.exit_code == 4
@@ -324,7 +330,7 @@ def test_density_conflicting_truncations_exit_2(runner, args, flag):
 def test_density_both_refuses_before_any_work(runner, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("the product ran before the sieve was refused")
-    monkeypatch.setattr(cli, "theta_product", never)
+    monkeypatch.setattr(density, "theta_product", never)
     result = runner.invoke(cli.main, ["density", "-d", "2", "--kind", "theta",
                                       "--method", "both",
                                       "--series-limit", "1000000000"])
@@ -386,7 +392,7 @@ def test_density_disjoint_brackets_exit_4(runner, monkeypatch):
                                lower=Fraction(9, 10), upper=Fraction(9, 10),
                                truncation=("series_limit", 10),
                                method="mobius_series")
-    monkeypatch.setattr(cli, "theta_series", far_away)
+    monkeypatch.setattr(density, "theta_series", far_away)
     result = runner.invoke(cli.main, ["density", "--degree", "2",
                                       "--kind", "theta", "--method", "both"])
     assert result.exit_code == 4
@@ -504,7 +510,7 @@ def test_verify_mismatch_exits_4(runner, monkeypatch):
     def wrong(d, H, sieve, **kwargs):
         return ExactCount(value=2, degree=d, height=H, variant="monic",
                           method="inclusion_exclusion")
-    monkeypatch.setattr(cli, "count_monic_eisenstein", wrong)
+    monkeypatch.setattr(counting, "count_monic_eisenstein", wrong)
     result = runner.invoke(cli.main, ["verify", "--max-degree", "2",
                                       "--max-height", "3"])
     assert result.exit_code == 4
@@ -563,7 +569,7 @@ def test_error_term_height_one_exits_2(runner):
 ], ids=["out-of-order-past-cap", "one-then-past-cap", "zero"])
 def test_error_term_bad_heights_exit_2_before_any_sizing(runner, monkeypatch,
                                                          heights, message):
-    _forbid(monkeypatch, "sieve_limit", "build_sieve")
+    _forbid(monkeypatch, "counting.sieve_limit", "cli.build_sieve")
     result = runner.invoke(cli.main, ["error-term", "--variant", "monic",
                                       "-d", "3", "--heights", heights])
     assert result.exit_code == 2

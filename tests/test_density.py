@@ -436,7 +436,8 @@ def _python_power_sums(primes, bits):
 
 def test_prime_power_sums_over_many_pieces(big_sieve):
     # The first 70,000 primes cross index SEGMENT and bit lengths 2 to 20.
-    # Above 2^20 the 73,586 primes of 21 bits split into two pieces.
+    # Above 2^20 the 73,586 primes of 21 bits take 7 stages, so they split
+    # into eight pieces of at most SEGMENT // 7.
     bits = 96 + GUARD_BITS
     _cached_power_sums.cache_clear()
     assert (_prime_power_sums(big_sieve, 0, 70_000, bits)
@@ -714,6 +715,22 @@ def test_series_streams_the_upper_half_of_its_terms(big_sieve):
     finally:
         tracemalloc.stop()
     assert peak <= 5 * ((S // 3 + 1) // 2) + 5 * 8 * SEGMENT
+
+
+def test_power_sum_pieces_hold_at_most_a_segment_of_remainders(big_sieve):
+    # At 96 + 32 bits the 35,108 primes from 2^19 to 10^6 run 7 stages.
+    # Pieces of SEGMENT // 7 primes keep the remainders within SEGMENT
+    # uint64 entries (0.5 MB), and the peak is 0.86 MB; one piece of all
+    # of them took 1.97 MB of remainders and peaked at 3.18 MB.
+    primes = big_sieve.primes
+    _cached_power_sums.cache_clear()
+    tracemalloc.start()
+    try:
+        _prime_power_sums(big_sieve, 0, primes.size, 96 + GUARD_BITS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 8 * SEGMENT
 
 
 def test_power_sum_pass_peak_memory_stays_within_pieces():

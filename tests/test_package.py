@@ -25,6 +25,14 @@ def test_star_import_binds_every_export():
     assert set(eisencount.__all__) <= set(namespace)
 
 
+def test_exports_resolve_on_first_use():
+    from eisencount import density
+    assert set(eisencount.__all__) <= set(dir(eisencount))
+    assert eisencount.theta_product is density.theta_product
+    with pytest.raises(AttributeError, match="no_such_name"):
+        eisencount.no_such_name
+
+
 def _after_import(code, **env):
     """Run ``import eisencount`` then ``code`` in a fresh interpreter whose
     environment lacks OPENBLAS_NUM_THREADS unless given; return stdout."""
@@ -41,7 +49,23 @@ def _after_import(code, **env):
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
                     reason="needs /proc/self/task to count threads")
 def test_import_starts_no_blas_worker_threads():
-    assert _after_import("print(len(os.listdir('/proc/self/task')))") == "1\n"
+    # The package loads no layer, so numpy comes in with arith.
+    assert _after_import("import sys, eisencount.arith; "
+                         "print('numpy' in sys.modules, "
+                         "len(os.listdir('/proc/self/task')))") == "True 1\n"
+
+
+def test_cli_import_loads_only_what_every_subcommand_needs():
+    # counting, density and report load when a command that needs them
+    # runs; the package still sets the BLAS thread count first.
+    blas, loaded = _after_import(
+        "import sys, eisencount.cli; print(os.environ['OPENBLAS_NUM_THREADS']);"
+        " print(*sorted(m for m in sys.modules if m.startswith('eisencount')))"
+    ).splitlines()
+    assert blas == "1"
+    assert loaded.split() == ["eisencount", "eisencount.arith",
+                              "eisencount.cli", "eisencount.errors",
+                              "eisencount.oracle", "eisencount.results"]
 
 
 def test_import_keeps_a_caller_set_blas_thread_count():
