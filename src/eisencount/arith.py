@@ -26,6 +26,9 @@ The tables are as narrow as their values: int8 for mu and int32 for phi
 (phi(n) < n <= 2 * MAX_SIEVE_LIMIT + 1 < 2^31), so callers widen them
 before they multiply.  :func:`odd_table_pieces` streams both at the odd
 n up to three times an odd table's limit, phi only below a given cut.
+The one exception is :func:`mobius_segment`: mu at every n of any range
+[lo, hi), from the primes up to isqrt(hi - 1) alone, in memory that does
+not depend on lo.  The general count reads it a segment at a time.
 """
 
 from __future__ import annotations
@@ -42,12 +45,13 @@ from .errors import BudgetExceededError
 
 DEFAULT_SIEVE_LIMIT = 10**7
 
-# Hard cap on sieve size.  A general count there holds 5 bytes per modulus
-# (500 MB); the prime list alone is about 46 MB.
+# Hard cap on sieve size: the prime list there is about 46 MB.  Counts sieve
+# only to isqrt(H) (general) or about H^(2/3) (monic), so the cap bounds the
+# density routes.
 MAX_SIEVE_LIMIT = 10**8
 
 # Odd n per piece that the tables and the prime list are marked in.
-# Independent of counting.WINDOW, which bounds the counter's int64 sums.
+# Independent of the general count's segments, which grow with isqrt(H).
 SEGMENT = 1 << 16
 
 
@@ -191,6 +195,36 @@ def _mark(marks: np.ndarray, lo: int, primes: Sequence[int]) -> None:
         if not first & 1:
             first += p
         marks[(first - lo) // 2:: p] = p
+
+
+def mobius_segment(mu: np.ndarray, lo: int, primes: Sequence[int],
+                   work: np.ndarray) -> None:
+    """Set mu[i] = mu(n), n = lo + i, for 1 <= lo <= n < hi = lo + mu.size.
+
+    ``primes`` ascending must hold every prime up to k = isqrt(hi - 1);
+    larger ones are ignored.  ``work`` is an int32 array of mu.size, and
+    hi <= 2^31.  Each prime p multiplies work by -p at its multiples and
+    zeroes it at the multiples of p * p, so a square-free n ends with
+    work = mu(P) * P, P the product of its primes up to k.  P = n unless
+    n has one prime q > k (two would exceed hi - 1), and then
+    P = n / q <= (hi - 1) / (k + 1) <= k, while P = n > k for every other
+    n > k.  So mu(n) is sign(work), negated where k < n and |work| <= k.
+    Beyond mu and work it holds one byte per n, the mask of that test,
+    whatever lo is (the marking of Deleglise-Rivat, "Computing the
+    summation of the Moebius function", Exp. Math. 1996).
+    """
+    size = mu.size
+    k = math.isqrt(lo + size - 1)
+    work.fill(1)
+    for p in primes:
+        if p > k:
+            break
+        work[-lo % p::p] *= -p
+        work[-lo % (p * p)::p * p] = 0
+    np.sign(work, out=mu, casting="unsafe")
+    above = slice(max(k + 1 - lo, 0), size)
+    product = np.abs(work[above], out=work[above])
+    np.negative(mu[above], out=mu[above], where=product <= k)
 
 
 @dataclass(frozen=True)

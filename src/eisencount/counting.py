@@ -33,14 +33,28 @@ H^(1/3), so the sieve and the Moebius table reach only about H^(2/3)
 (A = 1 below DIRECT_HEIGHT).  Both parts sum c_a / -2 in int64, which
 monic_sum_bound keeps from wrapping.
 
-General counts carry the extra factor phi_bounded(s, H), for which no
-grouped form is known, so they visit every modulus.  The sum is split at
-r = isqrt(H).  The head, s <= r, calls phi_bounded twice per modulus.  In
-the tail, s > r, psi(s) and phi_bounded(s, H) / 2 are filled into int64
-numpy arrays WINDOW moduli at a time and summed per run of equal a, one
-pair per run.  The windows bound the extra memory to a few WINDOW-sized
-arrays next to the Moebius table of length H + 1; block_sum_bound keeps
-their int64 sums from wrapping.
+General counts carry the extra factor phi_bounded(s, H) = 2 * G(s), with
+G(s) = sum over t | s of mu(t) * (H // t), for which no grouped form is
+known, so they visit every modulus.  The sum is split at r = isqrt(H).
+The head, s <= r, calls phi_bounded twice per modulus.  The tail, s > r,
+goes a segment [lo, hi) at a time, with mu over the segment from
+arith.mobius_segment and the primes up to isqrt(hi - 1) <= r.  For a
+square-free s and t | s, mu(t) = mu(s) * mu(s/t), so with k = isqrt(hi - 1)
+and m = s/t,
+
+    mu(s) * G(s) = mu(s)^2 * G1(s) + mu(s) * G2(s),
+    G1(s) = sum over m | s with m <= k of mu(m) * (H // (s/m)),
+    G2(s) = sum over t | s with s/t > k of mu(t) * (H // t),
+
+and a non-square-free s gives 0 either way.  G1 needs mu(m) only for
+m <= k, and G2 only for t <= (hi - 1) // (k + 1) <= k, so the sieve and
+the Moebius table reach only r.  G1 takes one strided slice of quotients per m, which
+psi(s) shares, and G2 one strided constant per t.  Each term
+mu(s) * psi(s) * G(s) is summed per run of equal a = H // s, one pair per
+run.  With 0 <= psi(s) <= a <= r and 0 <= G(s) <= H, a run of length l
+inside one segment sums to at most a * H * l, and
+l <= min(segment, H / (a * (a+1)) + 1) gives a * l <= isqrt(segment * H) + r:
+block_sum_bound keeps those int64 sums from wrapping.
 """
 
 from __future__ import annotations
@@ -49,13 +63,19 @@ import math
 
 import numpy as np
 
-from .arith import ArithSieve, factorize, mobius_table, phi_bounded
+from .arith import (ArithSieve, factorize, mobius_segment, mobius_table,
+                    phi_bounded)
 from .errors import BudgetExceededError, check_degree_height
 from .results import VARIANTS, ExactCount
 
 # Largest height a monic count accepts.  At the cap the sum sieves to
 # 4.6e6, and monic_sum_bound is about 7e11, far below 2^63.
 MAX_MONIC_HEIGHT = 10**10
+
+# Largest height a general count accepts.  Its time grows about as H: the
+# cap takes a few minutes.  Every quotient H // j and every n of
+# mobius_segment then stays below 2^31, and block_sum_bound below 2^63.
+MAX_GENERAL_HEIGHT = 10**9
 
 
 def count_monic_s(d: int, s: int, H: int, sieve: ArithSieve) -> int:
@@ -90,18 +110,41 @@ def count_general_s(d: int, s: int, H: int, sieve: ArithSieve) -> int:
     return count_monic_s(d, s, H, sieve) * phi_bounded(s, H, sieve)
 
 
-# The general tail sums moduli s > isqrt(H) WINDOW at a time in int64
-# arrays; _add_psi fills its strided slices WINDOW entries at a time.
-# Each general term is mu(s) * psi(s) * G[s] with 0 <= psi(s) <= isqrt(H)
-# and 0 <= G[s] <= H, so no sum over part of one window can exceed
-# block_sum_bound(H) in absolute value.  That bound must stay below 2^63
-# up to MAX_SIEVE_LIMIT.
+# _add_psi's buffers hold WINDOW quotients: a longer run of j goes in pieces.
 WINDOW = 1 << 16
 
+# A general segment holds about SEGMENT_ROOTS * isqrt(H) moduli, at least
+# about MIN_SEGMENT: its G1 and G2 take about isqrt(hi) slices each, so the
+# slices of a count grow as H / SEGMENT_ROOTS, while the memory grows as the
+# segment.
+SEGMENT_ROOTS = 64
+MIN_SEGMENT = 1 << 16
 
-def block_sum_bound(H: int) -> int:
-    """Largest |sum| of the int64 terms of one window at height H."""
-    return WINDOW * math.isqrt(H) * H
+
+def _segment(H: int) -> int:
+    """Moduli per segment of the general tail at height H.
+
+    The tail's H - isqrt(H) moduli split evenly into the whole number of
+    segments nearest to tail / max(MIN_SEGMENT, SEGMENT_ROOTS * isqrt(H)),
+    so that no short last segment pays for as many slices as a full one.
+    """
+    tail = H - math.isqrt(H)
+    aim = max(MIN_SEGMENT, SEGMENT_ROOTS * math.isqrt(H))
+    return max(-(-tail // max(round(tail / aim), 1)), 1)
+
+
+def block_sum_bound(H: int, segment: int | None = None) -> int:
+    """Largest |int64| sum over one run of a general segment at height H.
+
+    A term is mu(s) * psi(s) * G(s) with 0 <= psi(s) <= a = H // s <= isqrt(H)
+    and 0 <= G(s) <= H, and a run of equal a holds
+    l <= min(segment, H // a - H // (a+1)) < min(segment, H / (a(a+1)) + 1)
+    moduli.  If a * segment <= sqrt(segment * H), a * l <= isqrt(segment * H);
+    otherwise a + 1 > sqrt(H / segment), and a * l < H / (a+1) + a, below
+    sqrt(segment * H) + isqrt(H).
+    """
+    segment = segment or _segment(H)
+    return H * (math.isqrt(segment * H) + math.isqrt(H))
 
 
 def monic_sum_bound(H: int) -> int:
@@ -120,48 +163,49 @@ def monic_sum_bound(H: int) -> int:
     return 2 * H * (1 + H.bit_length())
 
 
-def _add_psi(psi: np.ndarray, lo: int, H: int, mu: np.ndarray) -> None:
-    """psi[s - lo] += psi(s) for lo <= s < lo + psi.size.
+def _scratch(size: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """The (offsets, quotients) buffers of :func:`_add_psi`, size entries."""
+    return np.arange(size, dtype=dtype), np.empty(size, dtype=dtype)
 
-    psi(s) = sum over t | s of mu(t) * (H // (s*t)), half of
-    phi_bounded(s, H // s) for s >= 2.  One strided slice per square-free
-    t <= min(isqrt(H), H // lo) and per WINDOW values of j = s // t, up to
-    the last j with H // (t*t*j) > 0.
+
+def _add_psi(psi: np.ndarray, lo: int, H: int, mu: np.ndarray, scratch,
+             g1: np.ndarray | None = None, k: int = 0) -> None:
+    """psi[s - lo] += psi(s), and g1[s - lo] += G1(s), for lo <= s < hi.
+
+    hi = lo + psi.size.  psi(s) = sum over t | s of mu(t) * (H // (s*t)),
+    half of phi_bounded(s, H // s) for s >= 2, and G1(s) = sum over m | s
+    with m <= k of mu(m) * (H // (s/m)) (the module docstring).  Both take
+    one strided slice per square-free t and per run of j = s // t that fits
+    the ``scratch`` buffers of :func:`_scratch`, whose dtype must hold H:
+    the quotients H // j serve G1 as they are and psi as
+    (H // j) // (t*t) = H // (t*t*j).  psi needs t <= min(isqrt(H), H // lo)
+    and j <= H // (t*t), G1 every j; ``mu`` must reach both t ranges.
+    Reusing the buffers saves a page fault per slice.
     """
-    hi, t_max = lo + psi.size, min(math.isqrt(H), H // lo)
-    # The quotients of every slice go through one buffer.  Fresh arrays
-    # of up to WINDOW int64 per slice would page-fault anew each time the
-    # allocator returned them to the system.
-    offsets = np.arange(min(WINDOW, psi.size))
-    q = np.empty_like(offsets)
-    for t in (np.flatnonzero(mu[1:t_max + 1]) + 1).tolist():
-        X, top = H // (t * t), (hi - 1) // t
+    hi, t_psi = lo + psi.size, min(math.isqrt(H), H // lo)
+    offsets, q = scratch
+    for t in (np.flatnonzero(mu[1:max(t_psi, k) + 1]) + 1).tolist():
+        first, last = -(-lo // t), (hi - 1) // t
+        last_psi = min(last, H // (t * t)) if t <= t_psi else 0
+        # Past k, psi alone takes the quotients, as (H // (t*t)) // j.
+        over, last = (H, last) if t <= k else (H // (t * t), last_psi)
         add = np.add if mu[t] > 0 else np.subtract
-        for j in range(-(-lo // t), min(top, X) + 1, WINDOW):
-            stop = min(j + WINDOW, top + 1, X + 1)
-            view, qj = psi[t * j - lo:t * stop - lo:t], q[:stop - j]
-            np.floor_divide(X, np.add(offsets[:stop - j], j, out=qj), out=qj)
+        for j in range(first, last + 1, q.size):
+            stop = min(j + q.size, last + 1)
+            qj = q[:stop - j]
+            np.floor_divide(over, np.add(offsets[:stop - j], j, out=qj),
+                            out=qj)
+            if t <= k:
+                view = g1[t * j - lo:t * stop - lo:t]
+                add(view, qj, out=view)
+                stop = min(stop, last_psi + 1)
+                if stop <= j:
+                    continue
+                qj = qj[:stop - j]
+                if t > 1:
+                    np.floor_divide(qj, t * t, out=qj)
+            view = psi[t * j - lo:t * stop - lo:t]
             add(view, qj, out=view)
-
-
-def _half_phi_H(lo: int, hi: int, r: int, lead: np.ndarray) -> np.ndarray:
-    """G[s - lo] = phi_bounded(s, H) / 2 for lo <= s < hi, given r = isqrt(H).
-
-    ``lead[t]`` is mu(t) * (H // t).  Every divisor pair s = t * m is
-    visited once: a slice over t for each m <= r, then a slice over the
-    m > r for each t.  G is int32, like ``lead``: a partial sum is at most
-    H times the product of (1 + 1/p) over the primes p of s, and an
-    s <= MAX_SIEVE_LIMIT has at most 8 primes, so it stays below
-    3.6 * H < 2^31.
-    """
-    G = np.zeros(hi - lo, dtype=np.int32)
-    for m in range(1, r + 1):
-        t_lo, t_hi = -(-lo // m), (hi - 1) // m
-        G[t_lo * m - lo::m] += lead[t_lo:t_hi + 1]
-    for t in (np.flatnonzero(lead[1:(hi - 1) // (r + 1) + 1]) + 1).tolist():
-        first = max(lo, t * (r + 1))
-        G[first - lo + -first % t::t] += int(lead[t])
-    return G
 
 
 # Below this height a monic count sums every modulus directly: the Mertens
@@ -180,20 +224,22 @@ def _split(H: int) -> int:
 def sieve_limit(variant: str, H: int) -> int:
     """The sieve limit a count of the variant at height H needs.
 
-    H for general counts, the cut H // A (about H^(2/3)) for monic ones,
-    and never above max(H, 2), build_sieve's least limit.  A monic height
-    above MAX_MONIC_HEIGHT raises BudgetExceededError, so a caller can
-    refuse it before it allocates anything.
+    isqrt(H) for general counts, the cut H // A (about H^(2/3)) for monic
+    ones, and never below 2, build_sieve's least limit.  A height above
+    the variant's cap, MAX_MONIC_HEIGHT or MAX_GENERAL_HEIGHT, raises
+    BudgetExceededError, so a caller can refuse it before it allocates
+    anything.
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {tuple(VARIANTS)}")
     if H < 1:
         raise ValueError(f"height bound must be at least 1, got {H}")
-    if variant == "general":
-        return max(H, 2)
-    if H > MAX_MONIC_HEIGHT:
+    cap = MAX_MONIC_HEIGHT if variant == "monic" else MAX_GENERAL_HEIGHT
+    if H > cap:
         raise BudgetExceededError(
-            f"monic height {H} exceeds the cap {MAX_MONIC_HEIGHT}")
+            f"{variant} height {H} exceeds the cap {cap}")
+    if variant == "general":
+        return max(math.isqrt(H), 2)
     return max(H // _split(H), 2)
 
 
@@ -232,7 +278,7 @@ def _direct_sum(H: int, A: int, mu: np.ndarray):
     """
     L, r = H // A, math.isqrt(H)
     psi = np.zeros(L + 1, dtype=np.int64)
-    _add_psi(psi[1:], 1, H, mu)
+    _add_psi(psi[1:], 1, H, mu, _scratch(min(WINDOW, L), np.int64))
     psi *= mu[:L + 1]
     psi[1] = 0
     np.cumsum(psi, out=psi)
@@ -332,36 +378,58 @@ def count_general_eisenstein(d: int, H: int, sieve: ArithSieve) -> ExactCount:
     The boxes of :func:`count_general_s` alternated as in
     :func:`count_monic_eisenstein` (a zero leading coefficient never occurs,
     since no prime can avoid dividing 0).  Only the moduli s <= isqrt(H)
-    call :func:`~eisencount.arith.phi_bounded`; the windows fill its two
-    factors through :func:`_add_psi` and the divisor pairs of s.
-    ``sieve.limit`` must reach H.
+    call :func:`~eisencount.arith.phi_bounded`; the segments above fill
+    its two factors through :func:`_add_psi` and the split of the module
+    docstring.  ``sieve.limit`` must reach isqrt(H), and H at most
+    MAX_GENERAL_HEIGHT (BudgetExceededError above it).
     """
     return _exact_count("general", d, H, sieve)
 
 
-def _general_terms(H: int, sieve: ArithSieve):
-    """(a, c) of the general count; a value a can recur in two windows."""
-    mu, r = mobius_table(H, sieve), math.isqrt(H)
+def _general_terms(H: int, sieve: ArithSieve, segment: int | None = None):
+    """(a, c) of the general count; a value a can recur in two segments.
+
+    Any segment length gives the same pairs; one set of buffers serves
+    every segment.
+    """
+    r = math.isqrt(H)
+    mu = mobius_table(r, sieve)
     # Head, s <= r: each modulus has its own a = H // s, and its own pair.
     values = [H // s for s in range(2, r + 1) if mu[s]]
     coefficients = [-int(mu[s]) * phi_bounded(s, H // s, sieve)
                     * phi_bounded(s, H, sieve)
                     for s in range(2, r + 1) if mu[s]]
-    # lead[t] = mu(t) * (H // t), filled a window at a time.  int32 is
-    # exact, as |lead[t]| <= H <= MAX_SIEVE_LIMIT < 2^31, where int8 mu
-    # would wrap under the in-place product.
-    lead = mu.astype(np.int32)
-    for lo in range(1, H + 1, WINDOW):
-        lead[lo:lo + WINDOW] *= H // np.arange(lo, min(lo + WINDOW, H + 1))
     # Tail, s > r: a = H // s <= r is shared by runs of consecutive s, one
     # pair per run.  psi and G are halves of phi_bounded: a factor 4.
-    for lo in range(max(2, r + 1), H + 1, WINDOW):
-        hi = min(lo + WINDOW, H + 1)
-        q = H // np.arange(lo, hi)
-        terms = np.zeros(hi - lo, dtype=np.int64)
-        _add_psi(terms, lo, H, mu)
-        terms *= mu[lo:hi] * _half_phi_H(lo, hi, r, lead)
-        runs = np.concatenate(([0], np.flatnonzero(np.diff(q)) + 1))
-        values += q[runs].tolist()
-        coefficients += [-4 * b for b in np.add.reduceat(terms, runs).tolist()]
+    segment = max(min(segment or _segment(H), H - r), 1)
+    primes = sieve.primes[:np.searchsorted(sieve.primes, r, "right")].tolist()
+    ts = np.flatnonzero(mu)
+    leads = list(zip(ts.tolist(), (mu[ts] * (H // ts)).tolist()))
+    scratch = _scratch(min(WINDOW, segment), np.int32)
+    mu_buf, psi_buf = np.empty(segment, np.int8), np.empty(segment, np.int32)
+    g_buf = np.empty(segment, np.int64)
+    for lo in range(r + 1, H + 1, segment):
+        hi = min(lo + segment, H + 1)
+        k, size = math.isqrt(hi - 1), hi - lo
+        mu_s, psi, g = mu_buf[:size], psi_buf[:size], g_buf[:size]
+        mobius_segment(mu_s, lo, primes, psi)
+        psi.fill(0)
+        g.fill(0)
+        _add_psi(psi, lo, H, mu, scratch, g, k)
+        g *= mu_s
+        # G2: the constant mu(t) * (H // t) at the s = t * j with j > k.
+        for t, lead in leads:
+            if t > (hi - 1) // (k + 1):
+                break
+            first = max(lo, t * (k + 1))
+            view = g[first - lo + -first % t::t]
+            np.add(view, lead, out=view)
+        # g = mu * G1 + G2: g * mu * psi = mu * psi * G, and 0 where mu = 0.
+        psi *= mu_s
+        g *= psi
+        a = np.arange(H // lo, H // (hi - 1) - 1, -1)
+        starts = H // (a + 1) + 1 - lo
+        starts[0] = 0
+        values += a.tolist()
+        coefficients += [-4 * b for b in np.add.reduceat(g, starts).tolist()]
     return values, coefficients

@@ -514,6 +514,56 @@ def sieve_2e6():
     return build_sieve(2 * 10**6)
 
 
+@pytest.fixture(scope="module")
+def mobius_2e6(sieve_2e6):
+    return mobius_table(2 * 10**6, sieve_2e6)
+
+
+def _mobius_segment(lo, hi, sieve):
+    mu = np.empty(hi - lo, dtype=np.int8)
+    arith.mobius_segment(mu, lo, sieve.primes.tolist(),
+                         np.empty(hi - lo, dtype=np.int32))
+    return mu
+
+
+# Ends next to squares of primes: a segment whose last n is p * p marks
+# with p, and one that stops just short of it does not.
+PRIME_SQUARE_ENDS = sorted({p * p + e for p in (2, 3, 5, 7, 31, 1031, 1409)
+                            for e in (-1, 0, 1, 2)})
+
+
+@settings(max_examples=80, deadline=None)
+@given(ends=st.lists(st.one_of(st.integers(1, 2 * 10**6 + 1),
+                               st.sampled_from([1, *PRIME_SQUARE_ENDS])),
+                     min_size=2, max_size=2, unique=True))
+@example(ends=[1, 2 * 10**6 + 1])
+@example(ends=[1, 2])
+@example(ends=[1, 5])
+@example(ends=[1031**2 - 1, 1031**2 + 1])
+@example(ends=[2, 1409**2 + 1])
+def test_mobius_segment_matches_the_table(ends, sieve_2e6, mobius_2e6):
+    # [lo, hi) anywhere in [1, 2e6], lo = 1 included.
+    lo, hi = sorted(ends)
+    assert np.array_equal(_mobius_segment(lo, hi, sieve_2e6),
+                          mobius_2e6[lo:hi]), (lo, hi)
+
+
+@pytest.mark.parametrize("lo", [1, 10**6])
+def test_mobius_segment_memory_is_a_constant_times_its_range(lo, sieve_2e6):
+    # mu (1 byte per n) and work (4), plus the 1-byte mask of the n to
+    # negate: nothing else grows with the range.
+    size = 1 << 18
+    primes = sieve_2e6.primes.tolist()
+    tracemalloc.start()
+    try:
+        mu = np.empty(size, dtype=np.int8)
+        arith.mobius_segment(mu, lo, primes, np.empty(size, dtype=np.int32))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7 * size
+
+
 @pytest.mark.parametrize("limit", [10**6, 2 * 10**6])
 @pytest.mark.parametrize("table", [mobius_table, totient_table])
 def test_table_memory_beyond_its_result_is_a_few_segments(table, limit,

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import math
 import re
 import shlex
 import sys
@@ -13,8 +14,9 @@ import pytest
 from click.testing import CliRunner
 
 from eisencount import arith, cli, counting, density, report
-from eisencount.counting import (MAX_MONIC_HEIGHT, ExactCount,
-                                 count_monic_eisenstein, sieve_limit)
+from eisencount.counting import (MAX_GENERAL_HEIGHT, MAX_MONIC_HEIGHT,
+                                 ExactCount, count_monic_eisenstein,
+                                 sieve_limit)
 from eisencount.density import DensityEstimate, theta_product
 
 
@@ -128,6 +130,24 @@ def test_monic_height_cap_is_refused_before_any_work(runner, monkeypatch,
     assert f"cap {MAX_MONIC_HEIGHT}" in result.output
 
 
+@pytest.mark.parametrize("argv", [
+    ["count", "-d", "3", "-H", str(MAX_GENERAL_HEIGHT + 1),
+     "--variant", "general"],
+    ["error-term", "--variant", "general", "-d", "3",
+     "--heights", f"1000,{MAX_GENERAL_HEIGHT + 1}"],
+], ids=["count", "error-term"])
+def test_general_height_cap_is_refused_before_any_work(runner, monkeypatch,
+                                                       argv):
+    # A general count sieves only to isqrt(H), so no sieve limit refuses
+    # it: the height cap does.
+    _forbid(monkeypatch, "cli.build_sieve",
+            "counting.count_general_eisenstein")
+    result = runner.invoke(cli.main, argv)
+    assert result.exit_code == 3
+    assert f"general height {MAX_GENERAL_HEIGHT + 1} exceeds the cap " \
+        f"{MAX_GENERAL_HEIGHT}" in result.output
+
+
 @pytest.mark.parametrize("variant, H", [("monic", 10**6), ("general", 1000)])
 def test_count_sizes_the_sieve_to_what_the_count_needs(runner, monkeypatch,
                                                        variant, H):
@@ -143,7 +163,7 @@ def test_count_sizes_the_sieve_to_what_the_count_needs(runner, monkeypatch,
                                       "--variant", variant])
     assert result.exit_code == 0
     assert limits == [sieve_limit(variant, H)]
-    assert limits[0] == (10**4 if variant == "monic" else H)
+    assert limits[0] == (10**4 if variant == "monic" else math.isqrt(H))
 
 
 def test_count_both_refuses_the_brute_box_before_the_sieve(runner,

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -11,12 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eisencount import counting
-from eisencount.arith import (MAX_SIEVE_LIMIT, build_sieve, euler_phi, mobius,
-                              mobius_table, omega, phi_bounded)
-from eisencount.counting import (MAX_MONIC_HEIGHT, WINDOW, ExactCount,
-                                 block_sum_bound, count_general_eisenstein,
-                                 count_general_s, count_monic_eisenstein,
-                                 count_monic_s, monic_sum_bound, sieve_limit)
+from eisencount.arith import (build_sieve, euler_phi, mobius, mobius_table,
+                              omega, phi_bounded)
+from eisencount.counting import (MAX_GENERAL_HEIGHT, MAX_MONIC_HEIGHT,
+                                 MIN_SEGMENT, ExactCount, block_sum_bound,
+                                 count_general_eisenstein, count_general_s,
+                                 count_monic_eisenstein, count_monic_s,
+                                 monic_sum_bound, sieve_limit)
 from eisencount.errors import BudgetExceededError
 
 GOLDENS = Path(__file__).with_name("goldens")
@@ -141,25 +143,80 @@ def _height_with_tail(moduli):
 
 
 @pytest.mark.parametrize("variant", sorted(COUNTERS))
-@pytest.mark.parametrize("moduli", [WINDOW - 1, WINDOW, WINDOW + 1, 2 * WINDOW])
+@pytest.mark.parametrize("moduli", [MIN_SEGMENT - 1, MIN_SEGMENT,
+                                    MIN_SEGMENT + 1, 2 * MIN_SEGMENT])
 def test_counter_matches_reference_at_window_edges(variant, moduli, big_sieve):
+    # Tails of one and two segments of MIN_SEGMENT moduli, give or take
+    # one: the general count sums them in one or two even segments.
+    assert counting._segment(_height_with_tail(2 * MIN_SEGMENT)) == MIN_SEGMENT
     _check_against_reference(variant, 2, _height_with_tail(moduli), big_sieve)
 
 
+@settings(max_examples=60, deadline=None)
+@given(segment=st.integers(min_value=1, max_value=300),
+       segments=st.integers(min_value=1, max_value=8),
+       offset=st.integers(min_value=-1, max_value=1))
+def test_general_pairs_match_the_specification_at_segment_edges(
+        segment, segments, offset, sieve):
+    # Tails one modulus short of, at and one past a whole number of
+    # segments; a run of equal a then straddles two of them.
+    H = _height_with_tail(max(segment * segments + offset, 1))
+    assert _aggregate(*counting._general_terms(H, sieve, segment)) == \
+        _reference_coefficients("general", H, sieve), (H, segment)
+
+
+@pytest.mark.parametrize("H", [10**4, 2 * 10**5, MAX_GENERAL_HEIGHT])
+def test_block_sum_bound_holds_for_every_run(H):
+    # A run of a inside one segment holds at most
+    # min(segment, H // a - H // (a+1)) moduli, each term at most a * H.
+    r = math.isqrt(H)
+    for segment in (1, 1000, counting._segment(H)):
+        widest = max(a * min(segment, H // a - H // (a + 1))
+                     for a in range(1, r + 1))
+        assert H * widest <= block_sum_bound(H, segment)
+
+
 def test_window_sums_fit_in_int64():
-    # Raising WINDOW or MAX_SIEVE_LIMIT past this would wrap silently.
-    assert block_sum_bound(MAX_SIEVE_LIMIT) < 2**63
+    # Raising MAX_GENERAL_HEIGHT or the segment past this would wrap
+    # silently.
+    assert block_sum_bound(MAX_GENERAL_HEIGHT) < 2**63
+    # G1 adds one H // j <= H per m <= k <= r, and G2 one H // t <= H per
+    # t <= k, so |G1|, |G2| <= H * r and |mu * G1 + G2| <= 2 * H * r.
+    assert 2 * MAX_GENERAL_HEIGHT * math.isqrt(MAX_GENERAL_HEIGHT) < 2**63
+
+
+def test_general_count_holds_no_array_of_length_H(monkeypatch):
+    # Segments of 23,786 moduli at H = 10^6: the count then peaks under 36
+    # bytes per modulus of one segment, the mu and psi of the segment, its
+    # int64 terms, the fill's buffers, the pairs and the head's table
+    # included.  That is below H bytes, so not even an int8 array of
+    # length H fits; the table of mu to H alone took that, beside 4 bytes
+    # per modulus of mu(t) * (H // t).
+    monkeypatch.setattr(counting, "SEGMENT_ROOTS", 24)
+    monkeypatch.setattr(counting, "MIN_SEGMENT", 1 << 12)
+    H = 10**6
+    segment = counting._segment(H)
+    assert segment == 23786
+    sieve = build_sieve(sieve_limit("general", H))
+    tracemalloc.start()
+    try:
+        value = count_general_eisenstein(3, H, sieve).value
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value == 889259537440231756830184
+    assert peak <= 36 * segment < H
 
 
 def test_divisor_fill_fits_in_int32():
-    # _half_phi_H sums mu(t) * (H // t) over the divisors t of s in int32:
-    # at most H * prod over p | s of (1 + 1/p), and an s up to the cap has
-    # at most 8 primes.
-    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23]
-    assert math.prod(primes[:8]) <= MAX_SIEVE_LIMIT < math.prod(primes)
-    growth = math.prod(Fraction(p + 1, p) for p in primes[:8])
-    assert growth < Fraction(36, 10)
-    assert MAX_SIEVE_LIMIT * growth < 2**31
+    # The fill of psi and G1 runs in int32: its offsets + j <= hi <= H + 1
+    # and quotients H // j <= H, and psi(s), a partial sum of
+    # mu(t) * (a // t) over t <= a, stays within a * (1 + ln a) for
+    # a <= isqrt(H).  mobius_segment's products stay within n <= H.
+    H = MAX_GENERAL_HEIGHT
+    a = math.isqrt(H)
+    assert H + 1 < 2**31
+    assert a * (1 + math.log(a)) < 2**31
 
 
 @pytest.mark.parametrize("variant", sorted(COUNTERS))
@@ -208,13 +265,18 @@ def test_coefficients_match_the_specification_at_every_degree(
     # Two finite sums of c_a * (2a+1)^(d-1) that agree for every d have
     # equal coefficients, so equal (a, c) pairs check every degree at once.
     # Heights to 60 cover the acceptance grid.  65535 and 65536 straddle
-    # DIRECT_HEIGHT and WINDOW; at 2e5 the general tail spans four windows,
-    # and a = 1 and a = 3 recur across them.  Monic pairs come from several
-    # cuts.
+    # DIRECT_HEIGHT; at 2e5 the general tail spans three segments, and
+    # a = 1 and a = 2 recur across them.  General pairs also come from a
+    # first segment that ends just below 29^2, and from three or seven
+    # segments that each end inside a run; monic pairs from several cuts.
     for H in heights:
         expected = _reference_coefficients(variant, H, big_sieve)
         if variant == "general":
-            pairs = [counting._general_terms(H, big_sieve)]
+            tail = H - math.isqrt(H)
+            pairs = [counting._general_terms(H, big_sieve, segment)
+                     for segment in (None, 29 * 29 - math.isqrt(H) - 1,
+                                     tail // 3 + 1, tail // 7 + 1)
+                     if segment is None or segment > 0]
         else:
             cuts = {1, 2, math.isqrt(H), counting._split(H)}
             pairs = [counting._monic_terms(H, A, big_sieve)
@@ -270,8 +332,11 @@ def test_monic_sums_fit_in_int64():
 def test_sieve_limit():
     direct = counting.DIRECT_HEIGHT
     for H in (1, 2, 7, 1000, direct - 1, direct):
-        assert sieve_limit("general", H) == max(H, 2)
+        assert sieve_limit("general", H) == max(math.isqrt(H), 2)
         assert 2 <= sieve_limit("monic", H) <= max(H, 2)
+    assert sieve_limit("general", MAX_GENERAL_HEIGHT) == 31622
+    with pytest.raises(BudgetExceededError, match="general height"):
+        sieve_limit("general", MAX_GENERAL_HEIGHT + 1)
     assert sieve_limit("monic", direct - 1) == direct - 1
     assert sieve_limit("monic", 10**6) == 10**4
     assert sieve_limit("monic", MAX_MONIC_HEIGHT) == 4642525
