@@ -13,22 +13,18 @@ has each odd root prime p write itself at stride 2p, largest first, so
 an entry ends as spf(n).  It flags the prime list, which the Euler
 product reads (2, then the unflagged odd n, one byte each per piece),
 and marks the odd half of the spf table (its even entries are 2).  The
-bulk mu and phi tables, for callers that sweep a contiguous range, read
-neither array: f(n) comes from f(m), m = n / spf(n), with spf marked by
-:func:`_piece` a piece of odd n in [lo, hi) at a time, in O(SEGMENT)
-memory beyond the result.  As spf(n) >= 3, m <= n / 3, so hi <= 3 * lo
-reads only earlier pieces.  The full tables, which the counters read,
-then take each even n = 2k from k, one strided operation per power of
-2: mu(2k) = -mu(k) for odd k and 0 for even k, phi(2k) = phi(k) for odd
-k and 2 * phi(k) for even k.  With ``odd=True`` a table stops there and
-holds f(2i + 1) at entry i; the Moebius series reads only odd moduli.
+bulk mu and phi tables, which the Moebius series reads, hold f(2i + 1)
+at entry i, for the odd n only, and read neither array: f(n) comes from
+f(m), m = n / spf(n), with spf marked by :func:`_piece` a piece of odd
+n in [lo, hi) at a time, in O(SEGMENT) memory beyond the result.  As
+spf(n) >= 3, m <= n / 3, so hi <= 3 * lo reads only earlier pieces.
 The tables are as narrow as their values: int8 for mu and int32 for phi
 (phi(n) < n <= 2 * MAX_SIEVE_LIMIT + 1 < 2^31), so callers widen them
 before they multiply.  :func:`odd_table_pieces` streams both at the odd
-n up to three times an odd table's limit, phi only below a given cut.
+n up to three times a table's limit, phi only below a given cut.
 The one exception is :func:`mobius_segment`: mu at every n of any range
 [lo, hi), from the primes up to isqrt(hi - 1) alone, in memory that does
-not depend on lo.  The general count reads it a segment at a time.
+not depend on lo.  The counters read mu from it alone.
 """
 
 from __future__ import annotations
@@ -340,65 +336,47 @@ def _piece(lo: int, hi: int, primes: Sequence[int], tables, out) -> None:
         np.multiply(f[m], factor(p, repeated), out=o)
 
 
-def _table(limit: int, sieve: ArithSieve, dtype, factor,
-           odd: bool) -> np.ndarray:
-    """f(n) for 0 <= n <= limit in ``dtype``, f(0) = 0 and f(1) = 1.
+def _table(limit: int, sieve: ArithSieve, dtype, factor) -> np.ndarray:
+    """f(2i + 1) at entry i in ``dtype``, for the odd n <= limit; f(1) = 1.
 
-    With ``odd`` the vector holds f(2i + 1) at entry i, for the
-    (limit + 1) // 2 odd n <= limit; otherwise f(n) at entry n.  Either
-    way :func:`_piece` fills the odd n, entry i = f(2i + 1) of a view, a
-    piece of odd n in [lo, hi) at a time, so the sieve's spf table is
-    never read.  One gather fills each piece: as spf(n) >= 3, hi <= 3 * lo
-    puts every m = n / spf(n) < hi / 3 <= lo in an earlier one, and hi <=
-    lo + 2 * SEGMENT bounds the extra memory, whatever the limit.  The
-    full vector then takes n = 2^a * k, k odd, from n / 2 by the same
-    recurrence with p = 2, which divides n / 2 when a >= 2: one strided
-    operation for each a, in increasing order.
+    :func:`_piece` fills the (limit + 1) // 2 entries a piece of odd n in
+    [lo, hi) at a time, so the sieve's spf table is never read.  One
+    gather fills each piece: as spf(n) >= 3, hi <= 3 * lo puts every
+    m = n / spf(n) < hi / 3 <= lo in an earlier one, and hi <=
+    lo + 2 * SEGMENT bounds the extra memory, whatever the limit.
     """
     if not 0 <= limit <= sieve.limit:
         raise ValueError(f"table limit {limit} outside 0..{sieve.limit}")
-    f = np.zeros((limit + 1) // 2 if odd else limit + 1, dtype=dtype)
-    odds = f if odd else f[1::2]
-    odds[:1] = 1
+    f = np.zeros((limit + 1) // 2, dtype=dtype)
+    f[:1] = 1
     lo = 3
     while lo <= limit:
         hi = min(3 * lo, lo + 2 * SEGMENT, limit + 1)
-        _piece(lo, hi, sieve._odd_marking_primes(hi - 1), [(odds, factor)],
-               [odds[lo >> 1:hi >> 1]])
+        _piece(lo, hi, sieve._odd_marking_primes(hi - 1), [(f, factor)],
+               [f[lo >> 1:hi >> 1]])
         lo = hi
-    if not odd:
-        step = 2
-        while step <= limit:
-            even = f[step::2 * step]
-            np.multiply(f[step >> 1::step][:even.size], factor(2, step > 2),
-                        out=even)
-            step *= 2
     return f
 
 
-def mobius_table(limit: int, sieve: ArithSieve, *,
-                 odd: bool = False) -> np.ndarray:
-    """Vector of mu(n) for 0 <= n <= limit, as int8; mu[0] is set to 0.
+def mobius_table(limit: int, sieve: ArithSieve) -> np.ndarray:
+    """Vector of mu(2i + 1) at entry i, for the odd n <= limit, as int8.
 
-    With ``odd``, entry i holds mu(2i + 1) instead, for the odd n <= limit
-    only.  Bulk variant of :func:`mobius` for callers that need every
-    value in a range: mu(p * m) is 0 when p = spf(p * m) divides m and
-    -mu(m) otherwise, filled by :func:`_table`.  int8 wraps silently, so
-    widen the table before multiplying it by anything larger than mu.
+    Bulk variant of :func:`mobius` for callers that need every odd value
+    in a range: mu(p * m) is 0 when p = spf(p * m) divides m and -mu(m)
+    otherwise, filled by :func:`_table`.  int8 wraps silently, so widen
+    the table before multiplying it by anything larger than mu.
     """
-    return _table(limit, sieve, np.int8, _mu_factor, odd)
+    return _table(limit, sieve, np.int8, _mu_factor)
 
 
-def totient_table(limit: int, sieve: ArithSieve, *,
-                  odd: bool = False) -> np.ndarray:
-    """Vector of phi(n) for 0 <= n <= limit, as int32; phi[0] is set to 0.
+def totient_table(limit: int, sieve: ArithSieve) -> np.ndarray:
+    """Vector of phi(2i + 1) at entry i, for the odd n <= limit, as int32.
 
-    With ``odd``, entry i holds phi(2i + 1) instead, for the odd n <= limit
-    only.  phi(p * m) is phi(m) * p when p = spf(p * m) divides m and
+    phi(p * m) is phi(m) * p when p = spf(p * m) divides m and
     phi(m) * (p - 1) otherwise, filled by :func:`_table`.  Widen the
     values before raising them to a power or multiplying them.
     """
-    return _table(limit, sieve, np.int32, _phi_factor, odd)
+    return _table(limit, sieve, np.int32, _phi_factor)
 
 
 def odd_table_pieces(limit: int, sieve: ArithSieve, mu: np.ndarray,
@@ -406,11 +384,10 @@ def odd_table_pieces(limit: int, sieve: ArithSieve, mu: np.ndarray,
                      ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Yield (lo, mu, phi) over pieces covering the odd n of 3..limit.
 
-    Entry i of a piece is n = lo + 2i.  ``mu`` and ``phi`` are the odd
-    tables (``odd=True``) of :func:`mobius_table` and
-    :func:`totient_table` to at least third = limit // 3.  The pieces, in
-    ascending order and of at most SEGMENT entries, are slices of them up
-    to third.  Above it each piece is computed and dropped: an odd n has
+    Entry i of a piece is n = lo + 2i.  ``mu`` and ``phi`` are the tables
+    of :func:`mobius_table` and :func:`totient_table` to at least
+    third = limit // 3.  The pieces, in ascending order and of at most
+    SEGMENT entries, are slices of them up to third.  Above it each piece is computed and dropped: an odd n has
     spf(n) >= 3, so m = n / spf(n) <= n / 3 <= third, and :func:`_piece`
     marks spf(n) over the odd primes up to isqrt(limit) and reads f(m)
     from the tables at m >> 1.  ``limit`` may reach 2 * sieve.limit + 1.

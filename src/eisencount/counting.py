@@ -11,7 +11,8 @@ phi_bounded(s, H) when the leading coefficient is free too (see
           (* phi_bounded(s, H) for general counts).
 
 Each counter builds the O(sqrt(H)) pairs (a, c_a), which do not depend on
-d, and only :func:`_evaluate` raises 2a+1 to the power d - 1.  For s >= 2,
+d, from mu by arith.mobius_segment (:func:`_mobius`), and only
+:func:`_evaluate` raises 2a+1 to the power d - 1.  For s >= 2,
 phi_bounded(s, a) = 2 * psi(s) with psi(s) = sum over t | s of
 mu(t) * (H // (s*t)), which :func:`_add_psi` fills over a range of moduli.
 
@@ -25,11 +26,11 @@ value a contribute c_a = -2 times
 where M_t(x), the sum of mu(m) over m <= x coprime to t, is the sum of
 M(x // n) over the n <= x whose primes all divide t, and M is the Mertens
 function.  Every such argument is some H // k: M(v) for v <= L is a
-prefix sum of the Moebius table, and M(H // k) for k < A comes from
+prefix sum of mu, and M(H // k) for k < A comes from
 M(v) = 1 - sum over j >= 2 of M(v // j), smallest v first, with the j of
 one value of v // j taken together (Deleglise-Rivat, "Computing the
 summation of the Moebius function", Exp. Math. 1996).  A is about
-H^(1/3), so the sieve and the Moebius table reach only about H^(2/3)
+H^(1/3), so the sieve and mu reach only about H^(2/3)
 (A = 1 below DIRECT_HEIGHT).  Both parts sum c_a / -2 in int64, which
 monic_sum_bound keeps from wrapping.
 
@@ -48,8 +49,8 @@ and m = s/t,
 
 and a non-square-free s gives 0 either way.  G1 needs mu(m) only for
 m <= k, and G2 only for t <= (hi - 1) // (k + 1) <= k, so the sieve and
-the Moebius table reach only r.  G1 takes one strided slice of quotients per m, which
-psi(s) shares, and G2 one strided constant per t.  Each term
+the head's mu reach only r.  G1 takes one strided slice of quotients per
+m, which psi(s) shares, and G2 one strided constant per t.  Each term
 mu(s) * psi(s) * G(s) is summed per run of equal a = H // s, one pair per
 run.  With 0 <= psi(s) <= a <= r and 0 <= G(s) <= H, a run of length l
 inside one segment sums to at most a * H * l, and
@@ -63,8 +64,7 @@ import math
 
 import numpy as np
 
-from .arith import (ArithSieve, factorize, mobius_segment, mobius_table,
-                    phi_bounded)
+from .arith import ArithSieve, factorize, mobius_segment, phi_bounded
 from .errors import BudgetExceededError, check_degree_height
 from .results import VARIANTS, ExactCount
 
@@ -243,6 +243,17 @@ def sieve_limit(variant: str, H: int) -> int:
     return max(H // _split(H), 2)
 
 
+def _mobius(limit: int, sieve: ArithSieve) -> np.ndarray:
+    """mu(n) at entry n for 0 <= n <= limit, as int8, mu[0] = 0.
+
+    One mobius_segment call from the root primes, which reach isqrt(limit)
+    for any limit <= 2 * sieve.limit + 1.
+    """
+    mu = np.zeros(limit + 1, np.int8)
+    mobius_segment(mu[1:], 1, sieve.root_primes, np.empty(limit, np.int32))
+    return mu
+
+
 def _mertens(H: int, A: int, mu: np.ndarray) -> np.ndarray:
     """The Mertens values of the monic sum, in one int64 table T.
 
@@ -358,7 +369,7 @@ def _monic_terms(H: int, A: int, sieve: ArithSieve):
 
     Any 1 <= A with A * A <= H gives the same pairs, from a sieve to H // A.
     """
-    mu = mobius_table(H // A, sieve)
+    mu = _mobius(H // A, sieve)
     values, coefficients = _direct_sum(H, A, mu)
     if A > 1:
         above_values, above_coefficients = _mertens_sum(H, A, mu, sieve)
@@ -393,7 +404,7 @@ def _general_terms(H: int, sieve: ArithSieve, segment: int | None = None):
     every segment.
     """
     r = math.isqrt(H)
-    mu = mobius_table(r, sieve)
+    mu = _mobius(r, sieve)
     # Head, s <= r: each modulus has its own a = H // s, and its own pair.
     values = [H // s for s in range(2, r + 1) if mu[s]]
     coefficients = [-int(mu[s]) * phi_bounded(s, H // s, sieve)

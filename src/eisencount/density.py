@@ -87,7 +87,7 @@ reads nothing else: the tables mark their own spf a piece at a time from
 the sieve's root primes, and the product reads only its prime list.  An
 odd s has p = spf(s) >= 3, so m = s / p <= S / 3, and mu(s) and phi(s)
 follow from mu(m) and phi(m) by the tables' own recurrence.  So the odd
-moduli up to S // 3 are read from the odd tables (``odd=True``) in
+moduli up to S // 3 are read from the tables, which hold only odd n, in
 contiguous slices, and those above come in pieces of at most SEGMENT,
 each with its spf from marking the odd primes up to isqrt(S) at stride
 2p, filled from the tables' entries at m >> 1, summed and dropped
@@ -416,8 +416,8 @@ def _series_estimate(kind: str, d: int, sieve: ArithSieve, series_limit: int,
     # floor 0 and inexact, as is its partner 2s.  Only its sign is read.
     tiny = 1 << _ceil_div(precision_bits, d)
     third = series_limit // 3
-    mu = mobius_table(third, sieve, odd=True)
-    phi = totient_table(min(third, tiny), sieve, odd=True)
+    mu = mobius_table(third, sieve)
+    phi = totient_table(min(third, tiny), sieve)
     # sums[sign] = [sum of floors, inexact terms] over the moduli s with
     # mu(s) = sign.  s = 2 pairs with m = 1, which is no term: its floor
     # is 2^(P-e), inexact when P < e.

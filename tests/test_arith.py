@@ -9,12 +9,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eisencount import arith
+from eisencount import arith, counting
 from eisencount.arith import (SEGMENT, build_sieve, euler_phi, factorize,
                               mobius, mobius_table, omega, phi_bounded, tau,
                               totient_table)
 from eisencount.counting import (DIRECT_HEIGHT, count_general_eisenstein,
-                                 count_monic_eisenstein)
+                                 count_monic_eisenstein, sieve_limit)
 from eisencount.density import (rho_product, rho_series, theta_product,
                                 theta_series)
 from eisencount.errors import BudgetExceededError
@@ -338,26 +338,28 @@ def test_factorize_roundtrip_random(n, big_sieve):
 
 
 def test_multiplicativity_on_coprime_pairs(big_sieve):
-    # phi and mu are multiplicative; check every coprime pair up to 1000
-    n = np.arange(1, 1001)
+    # phi and mu are multiplicative; check every coprime pair of odd n up
+    # to 1000.  The tables hold f(n) at entry n >> 1, for odd n only.
+    n = np.arange(1, 1001, 2)
     gcds = np.gcd.outer(n, n)
     phi = totient_table(10**6, big_sieve)
     mu = mobius_table(10**6, big_sieve)
-    prod = np.outer(n, n)
+    prod = np.outer(n, n) >> 1
     coprime = gcds == 1
     assert np.array_equal(phi[prod][coprime],
-                          np.outer(phi[n], phi[n])[coprime])
+                          np.outer(phi[n >> 1], phi[n >> 1])[coprime])
     assert np.array_equal(mu[prod][coprime],
-                          np.outer(mu[n], mu[n])[coprime])
+                          np.outer(mu[n >> 1], mu[n >> 1])[coprime])
 
 
 def test_tables_match_pointwise_functions(sieve):
+    # Entry i holds f(2i + 1): the odd n <= 10^4 only.
     mu = mobius_table(10**4, sieve)
     phi = totient_table(10**4, sieve)
-    assert mu[0] == 0 and phi[0] == 0
-    for n in range(1, 10**4 + 1):
-        assert mu[n] == mobius(n, sieve)
-        assert phi[n] == euler_phi(n, sieve)
+    assert mu.size == phi.size == 10**4 // 2
+    for i, n in enumerate(range(1, 10**4 + 1, 2)):
+        assert mu[i] == mobius(n, sieve)
+        assert phi[i] == euler_phi(n, sieve)
 
 
 def test_tables_reject_limits_beyond_sieve(sieve):
@@ -388,19 +390,20 @@ def _reference_totient_table(limit, sieve):
 
 
 def _assert_tables_match_reference(limit, sieve):
+    # Each table holds the reference's odd entries, f(2i + 1) at entry i.
     # The references build in int64; the tables are as narrow as their
     # values, int8 for mu and int32 for phi.
     for table, reference, dtype in (
             (mobius_table, _reference_mobius_table, np.int8),
             (totient_table, _reference_totient_table, np.int32)):
-        got, want = table(limit, sieve), reference(limit, sieve)
+        got, want = table(limit, sieve), reference(limit, sieve)[1::2]
         assert got.dtype == dtype, (table.__name__, limit)
         assert np.array_equal(got, want), (table.__name__, limit)
 
 
 # The tables fill the odd n in pieces [3^j, 3^(j+1)) up to 3^11 = 177147,
-# then ones of SEGMENT odd n; the even n follow one power of 2 at a time.
-# 257^2 = 66049 is the first square of a prime past the first SEGMENT.
+# then ones of SEGMENT odd n.  257^2 = 66049 is the first square of a
+# prime past the first SEGMENT.
 @pytest.mark.parametrize("limit", [0, 1, 2, 3, 4, 2**15 - 1, 2**15, 2**15 + 1,
                                    SEGMENT - 1, SEGMENT, SEGMENT + 1,
                                    2 * SEGMENT - 1, 2 * SEGMENT,
@@ -418,28 +421,22 @@ def test_segmented_tables_match_reference_at_random_limits(limit, big_sieve):
     _assert_tables_match_reference(limit, big_sieve)
 
 
-def _assert_odd_tables_are_the_odd_entries(limit, sieve):
-    for table in (mobius_table, totient_table):
-        odd, full = table(limit, sieve, odd=True), table(limit, sieve)
-        assert odd.dtype == full.dtype, (table.__name__, limit)
-        assert np.array_equal(odd, full[1::2]), (table.__name__, limit)
-
-
 # Both ends of every piece of odd n (3^k, and 3^11 + 2 * SEGMENT * j past
-# the last one of 3 * lo), and the prime list's piece edges.
+# the last one of 3 * lo), and the prime list's piece edges: the same
+# comparison with the full reference tables, at more limits.
 @pytest.mark.parametrize("limit", sorted(
     {*range(11), *(3**k + e for k in range(1, 13) for e in (-1, 0, 1)),
      *(2 * SEGMENT * j + e for j in (1, 2) for e in (-2, -1, 0, 1, 2)),
      3**11 + 2 * SEGMENT - 1, 3**11 + 2 * SEGMENT + 1}))
 def test_odd_tables_are_the_full_tables_odd_entries(limit, big_sieve):
-    _assert_odd_tables_are_the_odd_entries(limit, big_sieve)
+    _assert_tables_match_reference(limit, big_sieve)
 
 
 @settings(max_examples=25, deadline=None)
 @given(limit=st.integers(min_value=0, max_value=10**6))
 def test_odd_tables_are_the_full_tables_odd_entries_at_random_limits(
         limit, big_sieve):
-    _assert_odd_tables_are_the_odd_entries(limit, big_sieve)
+    _assert_tables_match_reference(limit, big_sieve)
 
 
 @pytest.mark.parametrize("limit", [2, 3, 1000, SEGMENT + 1, 3 * SEGMENT + 5])
@@ -449,7 +446,7 @@ def test_tables_from_a_larger_sieve_match_an_exact_sieve(limit, big_sieve):
         assert np.array_equal(table(limit, big_sieve), table(limit, exact))
 
 
-# Odd tables to a third serve the odd n up to 3 * third + 2.
+# Tables to a third serve the odd n up to 3 * third + 2.
 # 2 * 257^2 + 1 and 3 * 257^2 - 1 put 257^2, whose spf a piece must mark
 # from p*p, above the third; 6 * SEGMENT + 7 reads two pieces from the
 # tables.
@@ -461,8 +458,8 @@ def test_odd_table_pieces_give_every_odd_modulus_once(limit):
     third = limit // 3
     # The smallest sieve the series takes at this limit.
     sieve = build_sieve(max(limit // 2, 2))
-    mu = mobius_table(third, sieve, odd=True)
-    phi = totient_table(third, sieve, odd=True)
+    mu = mobius_table(third, sieve)
+    phi = totient_table(third, sieve)
     # A cut past the limit: phi is wanted everywhere.
     pieces = list(arith.odd_table_pieces(limit, sieve, mu, phi, limit + 1))
     start = 3
@@ -492,8 +489,8 @@ def test_odd_table_pieces_fill_phi_only_below_the_cut(limit, cut):
     # a piece that starts at or past the cut fills mu alone.
     third = limit // 3
     sieve = build_sieve(limit // 2)
-    mu = mobius_table(third, sieve, odd=True)
-    phi = totient_table(min(third, cut), sieve, odd=True)
+    mu = mobius_table(third, sieve)
+    phi = totient_table(min(third, cut), sieve)
     pieces = list(arith.odd_table_pieces(limit, sieve, mu, phi, cut))
     exact = build_sieve(limit)
     want_mu = _reference_mobius_table(limit, exact)
@@ -516,7 +513,7 @@ def sieve_2e6():
 
 @pytest.fixture(scope="module")
 def mobius_2e6(sieve_2e6):
-    return mobius_table(2 * 10**6, sieve_2e6)
+    return _reference_mobius_table(2 * 10**6, sieve_2e6)
 
 
 def _mobius_segment(lo, hi, sieve):
@@ -562,6 +559,31 @@ def test_mobius_segment_memory_is_a_constant_times_its_range(lo, sieve_2e6):
     finally:
         tracemalloc.stop()
     assert peak <= 7 * size
+
+
+def test_counters_build_no_table(monkeypatch):
+    # Both counters take mu from mobius_segment: direct sums, Mertens
+    # values and the general head and tail alike.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a counter built a mu or phi table")
+
+    monkeypatch.setattr(arith, "_table", refuse)
+    for H in (1, 2, 3, 20, DIRECT_HEIGHT - 1, DIRECT_HEIGHT, 199994):
+        sieve = build_sieve(max(sieve_limit(variant, H)
+                                for variant in ("monic", "general")))
+        count_monic_eisenstein(3, H, sieve)
+        count_general_eisenstein(3, H, sieve)
+
+
+# Limit 1 marks a one-entry segment with a one-entry work array.
+@pytest.mark.parametrize("limit", [*range(1, 65), SEGMENT - 1, SEGMENT + 1,
+                                   10**4])
+def test_counters_mu_matches_the_reference(limit):
+    # From the smallest sieve that serves the limit, whose root primes
+    # reach isqrt(2 * sieve.limit + 1).
+    got = counting._mobius(limit, build_sieve(max(limit // 2, 2)))
+    want = _reference_mobius_table(limit, build_sieve(max(limit, 2)))
+    assert got.dtype == np.int8 and np.array_equal(got, want), limit
 
 
 @pytest.mark.parametrize("limit", [10**6, 2 * 10**6])

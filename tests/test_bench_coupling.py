@@ -80,18 +80,20 @@ def test_series_reaches_each_table_once_through_its_traced_name(
     # density-heavy expects arith.mobius_table and arith.totient_table
     # spans, which exist only if the series calls the very functions that
     # spans.py finds, by identity, in the density namespace.  Each table
-    # holds only the odd moduli and stops at S // 3: those above it come
-    # from pieces.  phi stops sooner at the cut 2^ceil(96/d), 2^10 at
-    # d = 10, past which only the sign of mu is read.
+    # holds only the odd moduli, (limit + 1) // 2 entries, and stops at
+    # S // 3: those above it come from pieces.  phi stops sooner at the
+    # cut 2^ceil(96/d), 2^10 at d = 10, past which only the sign of mu is
+    # read.
     calls = Counter()
     for name in ("mobius_table", "totient_table"):
         original = getattr(density, name)
         assert original is getattr(arith, name), name
 
         def counted(limit, *args, _name=name, _original=original, **kwargs):
-            assert kwargs.get("odd") is True, _name
             calls[_name, limit] += 1
-            return _original(limit, *args, **kwargs)
+            table = _original(limit, *args, **kwargs)
+            assert table.size == (limit + 1) // 2, _name
+            return table
 
         monkeypatch.setattr(density, name, counted)
     for d, phi_limit in ((3, 5000 // 3), (10, 1 << 10)):

@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eisencount import counting
-from eisencount.arith import (build_sieve, euler_phi, mobius, mobius_table,
-                              omega, phi_bounded)
+from eisencount.arith import (build_sieve, euler_phi, mobius, omega,
+                              phi_bounded)
 from eisencount.counting import (MAX_GENERAL_HEIGHT, MAX_MONIC_HEIGHT,
                                  MIN_SEGMENT, ExactCount, block_sum_bound,
                                  count_general_eisenstein, count_general_s,
@@ -81,9 +81,8 @@ COUNTERS = {"monic": (count_monic_eisenstein, count_monic_s),
 def _reference_terms(variant, d, H, sieve):
     """The specification: {s: -mu(s) * the closed-form count of modulus s}."""
     per_s = COUNTERS[variant][1]
-    mu = mobius_table(H, sieve).tolist()
-    return {s: -mu[s] * per_s(d, s, H, sieve)
-            for s in range(2, H + 1) if mu[s]}
+    return {s: -mu * per_s(d, s, H, sieve)
+            for s in range(2, H + 1) if (mu := mobius(s, sieve))}
 
 
 def _reference_count(variant, d, H, sieve):
@@ -306,11 +305,12 @@ def test_monic_sum_matches_the_windowed_counter_at_1e8():
 
 @pytest.mark.parametrize("n, value", [(7, 1037), (8, 1928), (9, -222)])
 def test_mertens_anchors(n, value):
-    # M(10^n), OEIS A084237.  The table's entry L + 1 + k is M(H // k).
+    # M(10^n), OEIS A084237, from the counters' own mu.  The table's
+    # entry L + 1 + k is M(H // k).
     H = 10**n
     A = round(H ** (1 / 3))
     L = H // A
-    table = counting._mertens(H, A, mobius_table(L, build_sieve(L)))
+    table = counting._mertens(H, A, counting._mobius(L, build_sieve(L)))
     assert table[L + 2] == value
 
 

@@ -1,5 +1,6 @@
 """Density estimate tests: brackets, truncations, asymptotics."""
 
+import functools
 import gc
 import math
 import os
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 import eisencount
 from eisencount.arith import (MAX_SIEVE_LIMIT, SEGMENT, ArithSieve,
-                              build_sieve, mobius_table, totient_table)
+                              build_sieve, euler_phi, mobius)
 from eisencount.density import (GUARD_BITS, KINDS, POWERS, DensityEstimate,
                                 _cached_power_sums, _exp_neg, _floor_sum,
                                 _log_bracket, _prime_power_sums,
@@ -161,6 +162,13 @@ def test_empty_series_is_a_pure_tail_bracket(big_sieve):
         assert 0 <= est.upper - Fraction(1, d - 1) <= ulp
 
 
+@functools.cache
+def _pointwise_terms(limit, sieve):
+    """(s, mu(s), phi(s)) for the square-free 2 <= s <= limit, pointwise."""
+    return [(s, m, euler_phi(s, sieve)) for s in range(2, limit + 1)
+            if (m := mobius(s, sieve))]
+
+
 def _reference_series_sum(kind, d, sieve, limits, precisions):
     """The directed-rounding sum over all square-free s, term by term.
 
@@ -169,12 +177,8 @@ def _reference_series_sum(kind, d, sieve, limits, precisions):
     on the bracket.
     """
     k = POWERS[kind]
-    mu = mobius_table(max(limits), sieve)
-    phi = totient_table(max(limits), sieve)
-    keep = np.flatnonzero(mu[2:] != 0) + 2
-    # Powers of Python ints, which cannot wrap whatever the table dtype.
-    terms = zip(keep.tolist(), mu[keep].tolist(),
-                (n ** k for n in phi[keep].tolist()))
+    terms = ((s, m, phi ** k)
+             for s, m, phi in _pointwise_terms(max(limits), sieve))
     stops = sorted(limits, reverse=True)
     lo = dict.fromkeys(precisions, 0)
     hi = dict.fromkeys(precisions, 0)
