@@ -162,36 +162,17 @@ def _parse_heights(ctx, param, value: str) -> tuple[int, ...]:
         raise click.BadParameter(f"heights must be integers, got {value!r}")
 
 
-FORMAT_OPTION = click.option("--format", "fmt",
-                             type=click.Choice(["text", "csv", "json"]),
+# Output formats; each names its emitter in report, emit_<format>.
+FORMATS = ("text", "csv", "json")
+
+FORMAT_OPTION = click.option("--format", "fmt", type=click.Choice(FORMATS),
                              default=None, help="Defaults to --output-format.")
 
 
-def _emit(fmt: str, obj, render_text) -> None:
-    """Print obj as CSV or JSON, or else as the lines ``render_text(obj)``.
-
-    Only a text run calls ``render_text``, so a CSV or JSON run formats
-    each value once.
-    """
+def _emit(fmt: str, obj) -> None:
+    """Print obj by report's emitter for ``fmt``, looked up when called."""
     from . import report
-    if fmt == "csv":
-        click.echo(report.emit_csv(obj), nl=False)
-    elif fmt == "json":
-        click.echo(report.emit_json(obj), nl=False)
-    else:
-        click.echo("\n".join(render_text(obj)))
-
-
-def _table_text(table) -> list[str]:
-    return ["d   theta   rho",
-            *(f"{d:<3} {theta}  {rho}" for d, theta, rho in table.rows)]
-
-
-def _profile_text(rows) -> list[str]:
-    from .report import _format_real as real
-    return ["H  exact  main  residual  ratio",
-            *(f"{r.height}  {r.exact}  {real(r.main)}  {real(r.residual)}  "
-              f"{real(r.ratio)}" for r in rows)]
+    click.echo(getattr(report, f"emit_{fmt}")(obj), nl=False)
 
 
 @click.group()
@@ -208,8 +189,7 @@ def _profile_text(rows) -> list[str]:
               default=DEFAULT_PRECISION_BITS, show_default=True,
               help="Working precision (bits) of the density constants.")
 @click.option("--output-format", envvar="EISEN_OUTPUT_FORMAT",
-              type=click.Choice(["text", "csv", "json"]),
-              default="text", show_default=True,
+              type=click.Choice(FORMATS), default="text", show_default=True,
               help="Default rendering for commands with a --format flag.")
 @click.pass_context
 def main(ctx, sieve_limit, enumeration_budget, precision_bits, output_format):
@@ -297,7 +277,7 @@ def cmd_density(cfg: CliConfig, degree, kind, prime_count, series_limit,
     for est in estimates:
         if est.lower <= 0:
             from .report import not_separated
-            raise not_separated(est, cfg.precision_bits, est.truncation[0])
+            raise not_separated(est, cfg.precision_bits)
     for est in estimates:
         name, param = est.truncation
         click.echo(
@@ -329,7 +309,7 @@ def cmd_table(cfg: CliConfig, degrees, prime_count, fmt):
     sieve = _sieve_for(cfg, _nth_prime_bound(prime_count))
     table = report.density_table(d_min, d_max, sieve, prime_count=prime_count,
                                  precision_bits=cfg.precision_bits)
-    _emit(fmt or cfg.output_format, table, _table_text)
+    _emit(fmt or cfg.output_format, table)
 
 
 @main.command("verify")
@@ -397,7 +377,7 @@ def cmd_error_term(cfg: CliConfig, variant, degree, heights, prime_count, fmt):
                                      prime_count=prime_count,
                                      precision_bits=cfg.precision_bits)
     with _all_digits():
-        _emit(fmt or cfg.output_format, rows, _profile_text)
+        _emit(fmt or cfg.output_format, rows)
 
 
 def run() -> None:

@@ -171,9 +171,10 @@ def _stage_sums(numer: np.ndarray, s: np.ndarray, expo: int,
 
     Also returns, for the last stage's floors q, a flag per term that is
     set when some division leaves a remainder (q is inexact), the sum of
-    q mod 2^expo and a flag per term for q mod 2^expo != 0.  ``numer``
-    (1 <= numer < 2^56) and ``s`` (2 <= s < 2^28) are uint64 arrays of
-    equal length, at most SEGMENT; see the module docstring.
+    q mod 2^expo and a flag per term for q mod 2^expo != 0: the series
+    reads all four, the power sums only the first.  ``numer`` (1 <= numer
+    < 2^56) and ``s`` (2 <= s < 2^28) are uint64 arrays of equal length,
+    at most SEGMENT; see the module docstring.
     """
     width = min(48, 64 - int(s.max(initial=0)).bit_length())
     mask = np.uint64((1 << width) - 1)
@@ -228,26 +229,6 @@ def _stage_sums(numer: np.ndarray, s: np.ndarray, expo: int,
                 low += int(digit.sum()) << bit
                 low_flags |= digit != 0
     return totals, rems.any(axis=0), low, low_flags
-
-
-def _floor_sum(numer: np.ndarray, s: np.ndarray, expo: int,
-               precision_bits: int) -> tuple[int, int, int, int]:
-    """Sums of q = floor(numer * 2^precision_bits / s^expo) and of q >> expo.
-
-    q >> expo is the floor at the modulus 2s, as floor(floor(x) / 2^e) =
-    floor(x / 2^e).  Each sum is followed by the number of its terms
-    whose division is inexact: at 2s, those inexact at s or whose q
-    has a non-zero bit below expo.  ``numer`` (below 2^56) and ``s``
-    (2 <= s < 2^28) are integer arrays of equal length, as for
-    :func:`_stage_sums`, which divides every term: the series passes
-    only the terms below its cut (see the module docstring).
-    """
-    totals, inexact, low, low_flags = _stage_sums(
-        numer.astype(np.uint64, copy=False), s.astype(np.uint64, copy=False),
-        expo, precision_bits)
-    return (totals[-1], int(np.count_nonzero(inexact)),
-            (totals[-1] - low) >> expo,
-            int(np.count_nonzero(inexact | low_flags)))
 
 
 def _prime_power_sums(sieve: ArithSieve, first: int, stop: int,
@@ -449,13 +430,15 @@ def _series_estimate(kind: str, d: int, sieve: ArithSieve, series_limit: int,
                 # at becomes the moduli s in place.
                 at *= 2
                 at += start
-                q, inexact, q2, inexact2 = _floor_sum(
+                totals, inexact, low, low_flags = _stage_sums(
                     numer, at.view(np.uint64), expo, precision_bits)
-                sums[sign][0] += q
-                sums[sign][1] += inexact
+                sums[sign][0] += totals[-1]
+                sums[sign][1] += int(np.count_nonzero(inexact))
                 if pairs:
-                    sums[-sign][0] += q2
-                    sums[-sign][1] += inexact2
+                    # q >> expo are the floors at the partners 2s.
+                    sums[-sign][0] += (totals[-1] - low) >> expo
+                    sums[-sign][1] += int(np.count_nonzero(inexact
+                                                           | low_flags))
     # Where mu(s) = sign the terms -mu(s) phi(s)^k / s^(d+k) add -sign
     # times a sum in [q, q + inexact]; lo takes its low end, hi its high.
     lo = hi = 0

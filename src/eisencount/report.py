@@ -3,8 +3,8 @@
 This module assembles results from the counting and density layers into
 the two deliverable shapes: a table of theta_d and rho_d at display
 precision, and a profile showing how far exact counts sit from their
-main terms as the height grows.  Both render to CSV and JSON with stable
-column order and byte-reproducible formatting.
+main terms as the height grows.  Both render to text, CSV and JSON with
+stable column order and byte-reproducible formatting.
 """
 
 from __future__ import annotations
@@ -136,11 +136,10 @@ def _certified_display(est: DensityEstimate) -> str:
     return lower
 
 
-def not_separated(est: DensityEstimate, precision_bits: int,
-                  *names: str) -> ValueError:
-    """Refuse a bracket that reaches 0; ask to raise precision or ``names``."""
+def not_separated(est: DensityEstimate, precision_bits: int) -> ValueError:
+    """Refuse a bracket that reaches 0; ask for more precision or terms."""
     remedy = " or ".join(f"{name} (--{name.replace('_', '-')})"
-                         for name in ("precision_bits", *names))
+                         for name in ("precision_bits", est.truncation[0]))
     return ValueError(
         f"{est.kind}({est.degree}) is not separated from 0 at "
         f"{precision_bits} bits: its bracket is "
@@ -185,7 +184,7 @@ def error_term_profile(variant: str, d: int, heights: Sequence[int],
     constant = product(d, sieve, prime_count=prime_count,
                        precision_bits=precision_bits)
     if constant.lower <= 0 or constant.width >= constant.value:
-        raise not_separated(constant, precision_bits, constant.truncation[0])
+        raise not_separated(constant, precision_bits)
     count_fn = count_monic_eisenstein if monic else count_general_eisenstein
     power = d + VARIANTS[variant] - 1
     rows = []
@@ -212,6 +211,20 @@ def _require_rows(obj) -> tuple[str, list]:
     if not all(isinstance(r, ErrorTermRow) for r in rows):
         raise TypeError("expected a DensityTable or ErrorTermRow items")
     return "profile", rows
+
+
+def emit_text(obj: DensityTable | Iterable[ErrorTermRow]) -> str:
+    """Render for reading: a header and space-separated rows, LF endings."""
+    shape, rows = _require_rows(obj)
+    if shape == "table":
+        lines = ["d   theta   rho"]
+        lines += [f"{d:<3} {theta}  {rho}" for d, theta, rho in rows]
+    else:
+        lines = ["H  exact  main  residual  ratio"]
+        lines += [f"{r.height}  {r.exact}  {_format_real(r.main)}  "
+                  f"{_format_real(r.residual)}  {_format_real(r.ratio)}"
+                  for r in rows]
+    return "\n".join(lines) + "\n"
 
 
 def emit_csv(obj: DensityTable | Iterable[ErrorTermRow]) -> str:

@@ -550,10 +550,13 @@ def test_error_term_csv(runner):
 
 
 def test_error_term_text(runner):
-    result = runner.invoke(cli.main, ["error-term", "--variant", "general",
-                                      "--degree", "2", "--heights", "10,100"])
+    result = runner.invoke(cli.main, ["error-term", "--variant", "monic",
+                                      "-d", "3", "--heights", "100,1000"])
     assert result.exit_code == 0
-    assert "ratio" in result.output
+    assert result.stdout == (
+        "H  exact  main  residual  ratio\n"
+        "100  776988  762328.5842  14659.41578  1.465941578\n"
+        "1000  763362612  762328584.2  1034027.777  1.034027777\n")
 
 
 def test_error_term_json_formats_each_real_once(runner, monkeypatch):

@@ -20,11 +20,11 @@ import eisencount
 from eisencount.arith import (MAX_SIEVE_LIMIT, SEGMENT, ArithSieve,
                               build_sieve, euler_phi, mobius)
 from eisencount.density import (GUARD_BITS, KINDS, POWERS, DensityEstimate,
-                                _cached_power_sums, _exp_neg, _floor_sum,
-                                _log_bracket, _prime_power_sums,
-                                _stage_sums, asymptotic_main,
-                                refined_asymptotic_theta, rho_product,
-                                rho_series, theta_product, theta_series)
+                                _cached_power_sums, _exp_neg, _log_bracket,
+                                _prime_power_sums, _stage_sums,
+                                asymptotic_main, refined_asymptotic_theta,
+                                rho_product, rho_series, theta_product,
+                                theta_series)
 
 
 def test_single_factor_products(big_sieve):
@@ -293,9 +293,9 @@ def test_limb_floor_sum_matches_python_division(terms, expo, bits):
     numer = np.array([t[1] for t in terms], dtype=np.int64)
     quotients = [divmod(n << bits, m ** expo) for m, n in terms]
     want = (sum(q for q, _ in quotients), sum(1 for _, r in quotients if r))
-    assert _floor_sum(numer, s, expo, bits)[:2] == want
-    totals = _stage_sums(numer.astype(np.uint64), s.astype(np.uint64),
-                         expo, bits)[0]
+    totals, inexact = _stage_sums(numer.astype(np.uint64),
+                                  s.astype(np.uint64), expo, bits)[:2]
+    assert (totals[-1], np.count_nonzero(inexact)) == want
     assert totals == [sum((n << bits) // m ** j for m, n in terms)
                       for j in range(1, expo + 1)]
 
@@ -336,8 +336,6 @@ def test_partner_floors_match_python_division(terms, expo, bits):
     assert low == sum(q % 2**expo for q in at_s)
     assert (totals[-1] - low) >> expo == sum(q for q, _ in at_2s)
     assert (inexact | low_flags).tolist() == [r != 0 for _, r in at_2s]
-    assert _floor_sum(numer, s, expo, bits)[2:] == (
-        sum(q for q, _ in at_2s), sum(1 for _, r in at_2s if r))
 
 
 def test_stage_column_sums_stay_exact_over_a_full_segment():
@@ -377,14 +375,15 @@ def test_series_divides_only_below_its_cut(big_sieve, series_reference,
     # As phi(s) < s, each term with s >= 2^ceil(P/d) is below 2^P / s^d
     # <= 1 unit: floor 0 and inexact, with no division.  At 96 bits the
     # cut is 2^16 = S // 3 at d = 6, the end of the stored slices, 2^10
-    # at d = 10 and 2 at d = 100, where no term divides.
+    # at d = 10 and 2 at d = 100, where no term divides.  Only the series
+    # runs here, so every long division recorded is the series'.
     largest = []
 
     def recorded(numer, s, expo, precision_bits):
         largest.append(int(s.max()))
-        return _floor_sum(numer, s, expo, precision_bits)
+        return _stage_sums(numer, s, expo, precision_bits)
 
-    monkeypatch.setattr(eisencount.density, "_floor_sum", recorded)
+    monkeypatch.setattr(eisencount.density, "_stage_sums", recorded)
     limit = 3 * SEGMENT
     for fn in (theta_series, rho_series):
         kind = fn.__name__.split("_")[0]

@@ -3,14 +3,18 @@
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from eisencount import report
 from eisencount.density import _cached_power_sums, theta_product
 from eisencount.report import (DensityTable, ErrorTermRow, density_table,
-                               emit_csv, emit_json, error_normalization,
-                               error_term_profile, round_half_away)
+                               emit_csv, emit_json, emit_text,
+                               error_normalization, error_term_profile,
+                               round_half_away)
+
+GOLDENS = Path(__file__).with_name("goldens")
 
 
 def test_round_half_away_cases():
@@ -121,6 +125,14 @@ def test_profile_main_term_lies_in_the_scaled_bracket(sieve):
     assert row.main == theta.value * scale
 
 
+def test_emit_text_matches_the_table_golden(big_sieve):
+    # The golden the CLI's `table --degrees 2..10 --prime-count 78498`
+    # output is diffed against.
+    table = density_table(2, 10, big_sieve, prime_count=78498)
+    assert (emit_text(table)
+            == (GOLDENS / "table_2_10_78498.txt").read_text())
+
+
 def test_emit_csv_density_golden(big_sieve):
     table = density_table(2, 2, big_sieve)
     assert emit_csv(table) == "d,theta,rho\n2,0.2515,0.1677\n"
@@ -148,7 +160,8 @@ def test_emit_csv_uses_full_decimal_for_big_counts():
     assert "e+" not in text.split(",")[3]
 
 
-@pytest.mark.parametrize("emit", [emit_csv, emit_json], ids=["csv", "json"])
+@pytest.mark.parametrize("emit", [emit_text, emit_csv, emit_json],
+                         ids=["text", "csv", "json"])
 def test_emitters_refuse_reals_past_the_float_range(emit):
     row = ErrorTermRow(variant="monic", degree=110, height=1000, exact=1,
                        main=Fraction(10**400, 3), residual=Fraction(1, 3),
@@ -200,11 +213,10 @@ def test_emit_json_round_trips_byte_identically(big_sieve, sieve):
 
 
 def test_emitters_reject_empty_input():
-    with pytest.raises(ValueError):
-        emit_csv([])
-    with pytest.raises(ValueError):
-        emit_json([])
-    with pytest.raises(ValueError):
-        emit_csv(DensityTable(rows=(), prime_count=10))
-    with pytest.raises(TypeError):
-        emit_csv([object()])
+    for emit in (emit_text, emit_csv, emit_json):
+        with pytest.raises(ValueError):
+            emit([])
+        with pytest.raises(ValueError):
+            emit(DensityTable(rows=(), prime_count=10))
+        with pytest.raises(TypeError):
+            emit([object()])
