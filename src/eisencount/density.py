@@ -52,16 +52,18 @@ bitlen(max s)), so a stage's rem * 2^L + limb < s * 2^L <= 2^64 is
 exact, and s <= 2 * MAX_SIEVE_LIMIT + 1 < 2^28 (the series' bound; see
 below) keeps L >= 36.  Stage j passes on the limbs of floor(numer * 2^P
 / s^j), each below 2^L <= 2^48, so a column of at most SEGMENT = 2^16
-of them sums below 2^64 in uint64 before it joins a Python integer.  A
-term is inexact exactly when some stage leaves a non-zero remainder.
-The last stage also sums its floors q mod 2^e, from the limbs below bit
-e (several when e > L), and flags the terms where that is non-zero.  The
-extra memory is e remainder arrays of one segment, whatever P.  A stage
-with remainders all still 0 passes 0 limbs on, and takes a limb below s
-for every term as its remainder, passing 0 on.  The series takes the
+of them sums below 2^64 in uint64 before it joins a Python integer.  The
+last stage also sums its floors q mod 2^e, from the limbs below bit e
+(several when e > L).  No remainder is read: an odd s >= 3 is prime to
+2^P and s^e > phi(s)^k, so neither s^e nor (2s)^e divides phi(s)^k 2^P;
+the series counts each such term and partner as rounded, as the power
+sums count one unit a prime in each S(s).  The extra memory is e
+remainder arrays of one segment, whatever P.  A stage with remainders
+all still 0 passes 0 limbs on, and takes a limb below s for every term
+as its remainder, passing 0 on.  The series takes the
 last stage, numer = phi(s)^k and e = d+k, for s below 2^ceil(P/d).  From
 there on, as phi(s) < s, a term is below 2^P / s^d <= 1: quotient 0 and
-inexact, with no division, and only the sign of mu(s) is read, so phi is
+rounded, with no division, and only the sign of mu(s) is read, so phi is
 tabled and filled only below the cut.  At 96 bits that cut is 2^48 at
 d = 2, past every modulus, 2^10 at d = 10 and 2 from d = 96 on, below
 every term.
@@ -74,13 +76,13 @@ from 2^19 to 2^22 at the default Q = 128.
 
 The series divides only at odd s.  An even square-free s = 2m has m odd,
 mu(2m) = -mu(m) and phi(2m) = phi(m), so its floor is q(2m) =
-floor(q(m) / 2^e) = q(m) >> e, inexact exactly when q(m) is or q(m) mod
-2^e != 0.  Each odd m <= S / 2 adds its partner 2m with the opposite
-sign: the sum of the q(2m) is that of the q(m) less that of the q(m) mod
-2^e, over 2^e.  The one even term whose half is no term, s = 2 from
-m = 1, has the floor 2^(P-e), exact when P >= e.  At d = 2 and 96 bits
-an odd term takes 7 divisions for theta and 10 for rho on average, and
-its partner none: 4.7 and 6.7 a term, not 8 and 12.
+floor(q(m) / 2^e) = q(m) >> e.  Each odd m <= S / 2 adds its partner
+2m with the opposite sign: the sum of the q(2m) is that of the q(m) less
+that of the q(m) mod 2^e, over 2^e.  The one even term whose half is no
+term, s = 2 from m = 1, has the floor 2^(P-e), exact when P >= e: the
+one term that can be.  At d = 2 and 96 bits an odd term takes 7
+divisions for theta and 10 for rho on average, and its partner none:
+4.7 and 6.7 a term, not 8 and 12.
 
 The series stores mu and phi only at the odd moduli up to S // 3, and
 reads nothing else: the tables mark their own spf a piece at a time from
@@ -165,16 +167,15 @@ def _ceil_div(a: int, b: int) -> int:
 
 
 def _stage_sums(numer: np.ndarray, s: np.ndarray, expo: int,
-                precision_bits: int) -> tuple[list[int], np.ndarray, int,
-                                              np.ndarray]:
+                precision_bits: int) -> tuple[list[int], int]:
     """Sums of floor(numer * 2^precision_bits / s^j) for j = 1..expo.
 
-    Also returns, for the last stage's floors q, a flag per term that is
-    set when some division leaves a remainder (q is inexact), the sum of
-    q mod 2^expo and a flag per term for q mod 2^expo != 0: the series
-    reads all four, the power sums only the first.  ``numer`` (1 <= numer
-    < 2^56) and ``s`` (2 <= s < 2^28) are uint64 arrays of equal length,
-    at most SEGMENT; see the module docstring.
+    Also returns the sum of q mod 2^expo over the last stage's floors q,
+    for the series' partners 2s.  No remainder is read: an odd s >= 3 is
+    prime to 2^P and s^expo > numer = phi(s)^k, so s^expo does not divide
+    numer * 2^P, and the series counts each term as rounded.  ``numer``
+    (1 <= numer < 2^56) and ``s`` (2 <= s < 2^28) are uint64 arrays of
+    equal length, at most SEGMENT; see the module docstring.
     """
     width = min(48, 64 - int(s.max(initial=0)).bit_length())
     mask = np.uint64((1 << width) - 1)
@@ -186,7 +187,7 @@ def _stage_sums(numer: np.ndarray, s: np.ndarray, expo: int,
     rems = np.zeros((expo, s.size), np.uint64)
     limb = np.empty_like(s)
     quotient = np.empty_like(s)
-    low, low_flags = 0, np.zeros(s.size, bool)
+    low = 0
     # Stages start in order, each on the first non-zero limb it receives;
     # digit is None while the limb is known to be 0.
     started = 0
@@ -227,8 +228,7 @@ def _stage_sums(numer: np.ndarray, s: np.ndarray, expo: int,
                 if expo - bit < width:
                     digit &= np.uint64((1 << (expo - bit)) - 1)
                 low += int(digit.sum()) << bit
-                low_flags |= digit != 0
-    return totals, rems.any(axis=0), low, low_flags
+    return totals, low
 
 
 def _prime_power_sums(sieve: ArithSieve, first: int, stop: int,
@@ -394,14 +394,14 @@ def _series_estimate(kind: str, d: int, sieve: ArithSieve, series_limit: int,
     k = POWERS[kind]
     expo = d + k
     # As phi(s) < s, a term with s >= tiny is below 2^P / s^d <= 1 unit:
-    # floor 0 and inexact, as is its partner 2s.  Only its sign is read.
+    # floor 0 and rounded, as is its partner 2s.  Only its sign is read.
     tiny = 1 << _ceil_div(precision_bits, d)
     third = series_limit // 3
     mu = mobius_table(third, sieve)
     phi = totient_table(min(third, tiny), sieve)
-    # sums[sign] = [sum of floors, inexact terms] over the moduli s with
+    # sums[sign] = [sum of floors, rounded terms] over the moduli s with
     # mu(s) = sign.  s = 2 pairs with m = 1, which is no term: its floor
-    # is 2^(P-e), inexact when P < e.
+    # is 2^(P-e), rounded when P < e.
     sums = {-1: [0, 0], 1: [0, 0]}
     if series_limit >= 2:
         sums[-1] = [one >> expo, int(precision_bits < expo)]
@@ -415,13 +415,13 @@ def _series_estimate(kind: str, d: int, sieve: ArithSieve, series_limit: int,
         cut = min(max((tiny - start + 1) // 2, 0), signs.size)
         for begin, end, pairs in ((0, paired, True),
                                   (paired, signs.size, False)):
-            split = min(max(cut, begin), end)
             for sign in (-1, 1):
-                past = int(np.count_nonzero(signs[split:end] == sign))
-                sums[sign][1] += past
+                # Every odd s >= 3 and every partner is rounded.
+                rounded = int(np.count_nonzero(signs[begin:end] == sign))
+                sums[sign][1] += rounded
                 if pairs:
-                    sums[-sign][1] += past
-                at = np.flatnonzero(signs[begin:split] == sign)
+                    sums[-sign][1] += rounded
+                at = np.flatnonzero(signs[begin:min(cut, end)] == sign)
                 if not at.size:
                     continue
                 at += begin
@@ -430,21 +430,18 @@ def _series_estimate(kind: str, d: int, sieve: ArithSieve, series_limit: int,
                 # at becomes the moduli s in place.
                 at *= 2
                 at += start
-                totals, inexact, low, low_flags = _stage_sums(
-                    numer, at.view(np.uint64), expo, precision_bits)
+                totals, low = _stage_sums(numer, at.view(np.uint64), expo,
+                                          precision_bits)
                 sums[sign][0] += totals[-1]
-                sums[sign][1] += int(np.count_nonzero(inexact))
                 if pairs:
                     # q >> expo are the floors at the partners 2s.
                     sums[-sign][0] += (totals[-1] - low) >> expo
-                    sums[-sign][1] += int(np.count_nonzero(inexact
-                                                           | low_flags))
     # Where mu(s) = sign the terms -mu(s) phi(s)^k / s^(d+k) add -sign
-    # times a sum in [q, q + inexact]; lo takes its low end, hi its high.
+    # times a sum in [q, q + rounded]; lo takes its low end, hi its high.
     lo = hi = 0
-    for sign, (q, inexact) in sums.items():
-        lo -= sign * q + (sign > 0) * inexact
-        hi -= sign * q - (sign < 0) * inexact
+    for sign, (q, rounded) in sums.items():
+        lo -= sign * q + (sign > 0) * rounded
+        hi -= sign * q - (sign < 0) * rounded
 
     # Tail: each summand is below 1/s^d in absolute value, so the omitted
     # part is within sum over s > S of 1/s^d <= 1 / ((d-1) S^(d-1)).

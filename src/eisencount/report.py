@@ -168,11 +168,12 @@ def error_term_profile(variant: str, d: int, heights: Sequence[int],
     main term from the point value of the density constant at the given
     product truncation and ``precision_bits``.  A constant whose bracket
     does not keep it away from 0 (lower end <= 0, or width >= value), as
-    theta_d at 96 bits from d ~ 80 on, raises ValueError before any
-    count.  The residual and ratio are computed from the point value
-    alone; the width of the constant's bracket is not carried into them,
-    and it can exceed the residual (monic d = 2 with 1e4 primes: residual
-    1.08e4 at H = 1e5, main-term bracket 5.7e5 wide).  ROADMAP item 3
+    at 96 bits and 10,000 primes theta_d from d = 89 on and rho_d from
+    d = 88 on, raises ValueError before any count.  The residual and
+    ratio are computed from the point value alone; the width of the
+    constant's bracket is not carried into them, and it can exceed the
+    residual (monic d = 2 with 1e4 primes: residual 1.08e4 at H = 1e5,
+    main-term bracket 5.7e5 wide).  ROADMAP item 3
     carries the residual as an interval instead.
     """
     if variant not in VARIANTS:

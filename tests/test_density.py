@@ -291,17 +291,14 @@ _terms = st.lists(
 def test_limb_floor_sum_matches_python_division(terms, expo, bits):
     s = np.array([t[0] for t in terms], dtype=np.int64)
     numer = np.array([t[1] for t in terms], dtype=np.int64)
-    quotients = [divmod(n << bits, m ** expo) for m, n in terms]
-    want = (sum(q for q, _ in quotients), sum(1 for _, r in quotients if r))
-    totals, inexact = _stage_sums(numer.astype(np.uint64),
-                                  s.astype(np.uint64), expo, bits)[:2]
-    assert (totals[-1], np.count_nonzero(inexact)) == want
+    totals = _stage_sums(numer.astype(np.uint64), s.astype(np.uint64), expo,
+                         bits)[0]
     assert totals == [sum((n << bits) // m ** j for m, n in terms)
                       for j in range(1, expo + 1)]
 
 
-# (q, r) = divmod(numer << P, (2s)^e) against the partner the kernel gives
-# at s: q from q(s) >> e, r != 0 from the flags.
+# floor(numer * 2^P / (2s)^e) against the partner the kernel gives at s:
+# q(s) >> e.
 @settings(max_examples=200, deadline=None)
 @given(terms=_terms, expo=st.integers(3, 102), bits=st.integers(60, 1024))
 # s on both sides of 2^16, 2^20 and 2^27 in one call (L = 36), and calls
@@ -330,12 +327,11 @@ def test_partner_floors_match_python_division(terms, expo, bits):
     s = np.array([t[0] for t in terms], dtype=np.uint64)
     numer = np.array([t[1] for t in terms], dtype=np.uint64)
     at_s = [(n << bits) // m ** expo for m, n in terms]
-    at_2s = [divmod(n << bits, (2 * m) ** expo) for m, n in terms]
-    totals, inexact, low, low_flags = _stage_sums(numer, s, expo, bits)
+    at_2s = [(n << bits) // (2 * m) ** expo for m, n in terms]
+    totals, low = _stage_sums(numer, s, expo, bits)
     assert totals[-1] == sum(at_s)
     assert low == sum(q % 2**expo for q in at_s)
-    assert (totals[-1] - low) >> expo == sum(q for q, _ in at_2s)
-    assert (inexact | low_flags).tolist() == [r != 0 for _, r in at_2s]
+    assert (totals[-1] - low) >> expo == sum(at_2s)
 
 
 def test_stage_column_sums_stay_exact_over_a_full_segment():
@@ -344,13 +340,10 @@ def test_stage_column_sums_stay_exact_over_a_full_segment():
     # which 49-bit limbs would carry past.
     numer, s = (2**56 - 1) * 9 // 16, 3
     q = [(numer << 96) // s**j for j in (1, 2, 3)]
-    totals, inexact, low, low_flags = _stage_sums(
-        np.full(SEGMENT, numer, np.uint64), np.full(SEGMENT, s, np.uint64),
-        3, 96)
+    totals, low = _stage_sums(np.full(SEGMENT, numer, np.uint64),
+                              np.full(SEGMENT, s, np.uint64), 3, 96)
     assert totals == [SEGMENT * x for x in q]
     assert low == SEGMENT * (q[-1] % 2**3)
-    assert inexact.all()
-    assert (low_flags == bool(q[-1] % 2**3)).all()
 
 
 @pytest.mark.parametrize("limit", [2, 3, 4])
@@ -367,6 +360,25 @@ def test_series_at_the_first_partners_matches_the_reference(big_sieve, limit):
             for bits in bits_list:
                 est = fn(d, big_sieve, series_limit=limit, precision_bits=bits)
                 assert (est.value, est.lower, est.upper) == want[bits, limit]
+
+
+@pytest.mark.parametrize("fn", [theta_series, rho_series], ids=["theta", "rho"])
+def test_series_rounds_every_term_but_s_2(big_sieve, fn):
+    # An odd square-free s >= 3 is prime to 2^P, and phi(s)^k < s^(d+k),
+    # so s^(d+k) cannot divide phi(s)^k 2^P: its term and that of its
+    # partner 2s are rounded.  Only s = 2, floor 2^(P-e), can be exact.
+    # So the rounding width, less the tail, is a count of moduli.
+    k = POWERS[fn.__name__.split("_")[0]]
+    odd = [s for s in range(3, 5000, 2) if mobius(s, big_sieve)]
+    for d in (2, 3, 10, 59, 100):
+        for limit in (1, 2, 3, 4, 7, 30, 1000, 4999):
+            for bits in (60, 96, 200):
+                est = fn(d, big_sieve, series_limit=limit, precision_bits=bits)
+                tail = -(-2**bits // ((d - 1) * limit ** (d - 1)))
+                want = (sum(s <= limit for s in odd)
+                        + sum(s <= limit // 2 for s in odd)
+                        + (limit >= 2 and bits < d + k))
+                assert est.width * 2**bits - 2 * tail == want, (d, limit, bits)
 
 
 @pytest.mark.parametrize("d", [6, 10, 100])
