@@ -38,8 +38,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import BudgetExceededError
-
-DEFAULT_SIEVE_LIMIT = 10**7
+from .results import DEFAULT_SIEVE_LIMIT
 
 # Hard cap on sieve size: the prime list there is about 46 MB.  Counts sieve
 # only to isqrt(H) (general) or about H^(2/3) (monic), so the cap bounds the

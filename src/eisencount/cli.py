@@ -8,11 +8,13 @@ and subcommand options read none.  Exit codes are a stable contract:
 0 success, 2 bad usage, 3 resource refusal, 4 verification failure.
 
 Importing this module loads only what every subcommand needs: click,
-``arith``, ``errors``, ``results`` (the option defaults) and the small
-``oracle`` (the enumeration budget and the brute-force counters).  Each
-command imports its own layers when it runs: ``count`` and ``verify``
-``counting``, ``density`` the density layer, and ``table`` and
-``error-term`` ``report``, which brings in both.
+``errors``, ``results`` (every option default) and the small ``oracle``
+(the brute-force counters, which load numpy when they first run).  So
+help, shell completion and click's usage errors run without numpy.  Each
+command imports its own layers when it runs, after its checks that need
+none: ``count`` and ``verify`` ``counting``, ``density`` the density
+layer, ``table`` and ``error-term`` ``report``, which brings in both, and
+every command that sizes a sieve ``arith``.
 """
 
 from __future__ import annotations
@@ -27,12 +29,11 @@ from dataclasses import dataclass
 
 import click
 
-from .arith import DEFAULT_SIEVE_LIMIT, build_sieve
 from .errors import BudgetExceededError, InvariantError
-from .oracle import (DEFAULT_ENUMERATION_BUDGET, brute_count_general,
-                     brute_count_monic)
-from .results import (DEFAULT_PRECISION_BITS, DEFAULT_PRIME_COUNT,
-                      DEFAULT_SERIES_LIMIT, KINDS, MIN_PRECISION_BITS,
+from .oracle import brute_count_general, brute_count_monic
+from .results import (DEFAULT_ENUMERATION_BUDGET, DEFAULT_PRECISION_BITS,
+                      DEFAULT_PRIME_COUNT, DEFAULT_SERIES_LIMIT,
+                      DEFAULT_SIEVE_LIMIT, KINDS, MIN_PRECISION_BITS,
                       VARIANTS, check_box)
 
 
@@ -139,6 +140,7 @@ def _counters(variant: str):
 
 def _sieve_for(cfg: CliConfig, needed: int):
     """Build a sieve big enough for the command, capped by --sieve-limit."""
+    from .arith import build_sieve
     return build_sieve(max(needed, 2), max_limit=cfg.sieve_limit)
 
 
@@ -212,12 +214,13 @@ def main(ctx, sieve_limit, enumeration_budget, precision_bits, output_format):
 @_guarded
 def cmd_count(cfg: CliConfig, degree, height, variant, method):
     """Count Eisenstein polynomials of one degree and height bound."""
+    # Refuse an oversized box or count before numpy loads with counting.
+    if method != "exact":
+        check_box(variant, degree, height, cfg.enumeration_budget)
+    _check_digits(variant, degree, height)
     from .counting import sieve_limit
     exact = brute = None
     fast_fn, brute_fn = _counters(variant)
-    if method != "exact":  # refuse an oversized box before the sieve
-        check_box(variant, degree, height, cfg.enumeration_budget)
-    _check_digits(variant, degree, height)
     if method in ("exact", "both"):
         sieve = _sieve_for(cfg, sieve_limit(variant, height))
         exact = fast_fn(degree, height, sieve).value
@@ -247,13 +250,13 @@ def cmd_count(cfg: CliConfig, degree, height, variant, method):
 def cmd_density(cfg: CliConfig, degree, kind, prime_count, series_limit,
                 method):
     """Evaluate a density constant with its rigorous bracket."""
-    from .density import rho_product, rho_series, theta_product, theta_series
     product = method in ("product", "both")
     series = method in ("series", "both")
     for flag, value, used in (("--prime-count", prime_count, product),
                               ("--series-limit", series_limit, series)):
         if value is not None and not used:
             raise click.UsageError(f"{flag} does not apply to --method {method}")
+    from .density import rho_product, rho_series, theta_product, theta_series
     # One sieve sized for every route, so a refusal comes before any work:
     # the product reads its primes, the series the root primes to isqrt(S),
     # which a sieve to S // 2 holds.
@@ -381,19 +384,24 @@ def cmd_error_term(cfg: CliConfig, variant, degree, heights, prime_count, fmt):
 
 
 def run() -> None:
-    """The console entry: ``main()`` with the import heap frozen.
+    """The console entry: ``main()`` with the heap frozen before and after.
 
     A command's process exits soon after it starts, and the interpreter's
-    exit collection would walk the ~22,000 container objects alive once
-    numpy, click and this module's imports are loaded; the layers a
-    command loads later add about 900.  Frozen objects are never
-    collected.  No collection runs before the freeze: after the imports
-    one finds no unreachable object, and it would cost a full walk of
-    the same heap.  A library import, or a caller of ``main`` (click's
-    CliRunner, an in-process benchmark), leaves the collector alone.
+    exit collection would walk every container object still alive.
+    Frozen objects are never collected.  The first freeze takes the
+    ~15,000 of click and this module's imports; the second, when
+    ``main()`` exits, the ~7,000 to 8,000 of numpy and the layers the
+    command loaded.  No collection runs before either freeze: after the
+    imports one finds no unreachable object, and it would cost a full
+    walk of the same heap.  A library import, or a caller of ``main``
+    (click's CliRunner, an in-process benchmark), leaves the collector
+    alone.
     """
     gc.freeze()
-    main()
+    try:
+        main()
+    finally:
+        gc.freeze()
 
 
 if __name__ == "__main__":

@@ -243,14 +243,24 @@ def sieve_limit(variant: str, H: int) -> int:
     return max(H // _split(H), 2)
 
 
+# Moduli per mobius_segment call of _mobius.  At the monic cap (4.6e6
+# moduli) 2^18 took about 70 ms, against 115 ms for 2^16 and for one call
+# over all of them, whose int32 work array alone is 18.6 MB.
+MU_PIECE = 1 << 18
+
+
 def _mobius(limit: int, sieve: ArithSieve) -> np.ndarray:
     """mu(n) at entry n for 0 <= n <= limit, as int8, mu[0] = 0.
 
-    One mobius_segment call from the root primes, which reach isqrt(limit)
-    for any limit <= 2 * sieve.limit + 1.
+    mobius_segment over pieces of MU_PIECE moduli from the root primes,
+    which reach isqrt(limit) for any limit <= 2 * sieve.limit + 1.  Any
+    piece length gives the same table; one work buffer serves every piece.
     """
     mu = np.zeros(limit + 1, np.int8)
-    mobius_segment(mu[1:], 1, sieve.root_primes, np.empty(limit, np.int32))
+    work = np.empty(min(MU_PIECE, limit), np.int32)
+    for lo in range(1, limit + 1, MU_PIECE):
+        hi = min(lo + MU_PIECE, limit + 1)
+        mobius_segment(mu[lo:hi], lo, sieve.root_primes, work[:hi - lo])
     return mu
 
 

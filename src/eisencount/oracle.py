@@ -18,6 +18,9 @@ into blocks of at most ``BLOCK`` cells by looping over its first axes,
 so the memory stays a few blocks whatever the degree.  Requests above a
 configurable polynomial budget are refused before any array is
 allocated, rather than truncated silently.
+
+The CLI imports this module to declare its commands, so only the
+functions that build arrays import numpy, when they first run.
 """
 
 from __future__ import annotations
@@ -25,13 +28,15 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import check_degree_height
-from .results import VARIANTS, ExactCount, check_box
+from .results import (DEFAULT_ENUMERATION_BUDGET, VARIANTS, ExactCount,
+                      check_box)
 
-DEFAULT_ENUMERATION_BUDGET = 10**8
+if TYPE_CHECKING:  # the annotations only; the functions import it
+    import numpy as np
+
 # Most cells (polynomials sharing one a_0) that one numpy block holds.
 BLOCK = 2**16
 
@@ -147,6 +152,7 @@ def _blocks(sizes: list[int]) -> Iterator[tuple[slice, ...]]:
 
 def _outer(masks: list[np.ndarray]) -> np.ndarray:
     """The boolean outer product: one cell per choice of an entry per mask."""
+    import numpy as np
     out = masks[0]
     for mask in masks[1:]:
         out = np.logical_and.outer(out, mask)
@@ -155,6 +161,7 @@ def _outer(masks: list[np.ndarray]) -> np.ndarray:
 
 def _divisible(H: int, p: int) -> np.ndarray:
     """Mask over the values -H..H that p divides; index i holds i - H."""
+    import numpy as np
     mask = np.zeros(2 * H + 1, bool)
     mask[H % p::p] = True
     return mask
@@ -166,6 +173,7 @@ def _brute_count(variant: str, d: int, H: int, budget: int) -> ExactCount:
     if budget < 1:
         raise ValueError(f"budget must be positive, got {budget}")
     check_box(variant, d, H, budget)
+    import numpy as np
     span = np.arange(-H, H + 1)
     # a_d is free only when k = 2; a monic a_d = 1 is never divisible.  Its
     # axis goes first: a one-cell axis last would make _outer copy a block.

@@ -9,7 +9,6 @@ stable column order and byte-reproducible formatting.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -258,6 +257,7 @@ def emit_json(obj: DensityTable | Iterable[ErrorTermRow]) -> str:
     A density table becomes an object with prime_count and rows; a
     profile becomes an array of row objects.
     """
+    import json  # here, as text and CSV runs need none of it
     shape, rows = _require_rows(obj)
     if shape == "table":
         payload = {

@@ -2,8 +2,9 @@
 
 Kept apart from both routes so that neither imports the other: the
 brute-force oracle stays an independent check on inclusion-exclusion.
-It also holds the variants' and kinds' exponents and the density
-defaults, which the CLI reads when it declares its options.
+It also holds the variants' and kinds' exponents and every default the
+CLI declares an option with, so that the CLI loads neither numpy nor a
+computing layer until a command runs.  Needs only the standard library.
 """
 
 from __future__ import annotations
@@ -24,8 +25,11 @@ METHODS = ("brute", "inclusion_exclusion")
 POWERS = {"theta": 1, "rho": 2}
 KINDS = tuple(POWERS)
 
-# The density routes' settings, here so that the CLI declares its options
-# without loading the density layer.
+# The CLI's defaults, here so that it declares its options without loading
+# the layer each one sizes: the sieve (arith), the brute-force enumeration
+# (oracle) and the density routes.
+DEFAULT_SIEVE_LIMIT = 10**7
+DEFAULT_ENUMERATION_BUDGET = 10**8
 MIN_PRECISION_BITS = 60
 DEFAULT_PRECISION_BITS = 96
 DEFAULT_PRIME_COUNT = 10000

@@ -586,6 +586,33 @@ def test_counters_mu_matches_the_reference(limit):
     assert got.dtype == np.int8 and np.array_equal(got, want), limit
 
 
+@pytest.mark.parametrize("limit, piece", [
+    (3 * counting.MU_PIECE + 12345, counting.MU_PIECE), (10**4, 999), (10, 3)],
+    ids=["4-pieces", "11-pieces", "tiny"])
+def test_counters_mu_in_pieces_equals_one_call(monkeypatch, limit, piece):
+    # The last piece is short.
+    sieve = build_sieve(limit // 2)
+    one = np.zeros(limit + 1, np.int8)
+    arith.mobius_segment(one[1:], 1, sieve.root_primes,
+                         np.empty(limit, np.int32))
+    monkeypatch.setattr(counting, "MU_PIECE", piece)
+    assert np.array_equal(counting._mobius(limit, sieve), one)
+
+
+def test_counters_mu_memory_beyond_its_table_is_one_piece():
+    # One piece's int32 work and mask: 5 bytes per entry of MU_PIECE,
+    # where one call over the range would need 5 per entry of the table.
+    limit = 4 * counting.MU_PIECE
+    sieve = build_sieve(limit // 2)
+    tracemalloc.start()
+    try:
+        mu = counting._mobius(limit, sieve)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - mu.nbytes <= 6 * counting.MU_PIECE
+
+
 @pytest.mark.parametrize("limit", [10**6, 2 * 10**6])
 @pytest.mark.parametrize("table", [mobius_table, totient_table])
 def test_table_memory_beyond_its_result_is_a_few_segments(table, limit,

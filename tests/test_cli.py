@@ -123,7 +123,7 @@ def test_sieve_limit_flag_cannot_raise_the_hard_cap(runner, monkeypatch):
 ], ids=["count", "error-term"])
 def test_monic_height_cap_is_refused_before_any_work(runner, monkeypatch,
                                                      argv):
-    _forbid(monkeypatch, "cli.build_sieve",
+    _forbid(monkeypatch, "arith.build_sieve",
             "counting.count_monic_eisenstein")
     result = runner.invoke(cli.main, ["--sieve-limit", str(10**8), *argv])
     assert result.exit_code == 3
@@ -140,7 +140,7 @@ def test_general_height_cap_is_refused_before_any_work(runner, monkeypatch,
                                                        argv):
     # A general count sieves only to isqrt(H), so no sieve limit refuses
     # it: the height cap does.
-    _forbid(monkeypatch, "cli.build_sieve",
+    _forbid(monkeypatch, "arith.build_sieve",
             "counting.count_general_eisenstein")
     result = runner.invoke(cli.main, argv)
     assert result.exit_code == 3
@@ -152,13 +152,13 @@ def test_general_height_cap_is_refused_before_any_work(runner, monkeypatch,
 def test_count_sizes_the_sieve_to_what_the_count_needs(runner, monkeypatch,
                                                        variant, H):
     limits = []
-    build = cli.build_sieve
+    build = arith.build_sieve
 
     def recorded(limit, **kwargs):
         limits.append(limit)
         return build(limit, **kwargs)
 
-    monkeypatch.setattr(cli, "build_sieve", recorded)
+    monkeypatch.setattr(arith, "build_sieve", recorded)
     result = runner.invoke(cli.main, ["count", "-d", "3", "-H", str(H),
                                       "--variant", variant])
     assert result.exit_code == 0
@@ -168,7 +168,7 @@ def test_count_sizes_the_sieve_to_what_the_count_needs(runner, monkeypatch,
 
 def test_count_both_refuses_the_brute_box_before_the_sieve(runner,
                                                           monkeypatch):
-    _forbid(monkeypatch, "cli.build_sieve",
+    _forbid(monkeypatch, "arith.build_sieve",
             "counting.count_monic_eisenstein")
     result = runner.invoke(cli.main, ["count", "-d", "3", "-H", str(10**10),
                                       "--variant", "monic", "--method", "both"])
@@ -218,7 +218,7 @@ def test_count_prints_a_count_past_the_int_digit_limit(runner, sieve):
 def test_count_past_the_digit_cap_is_refused_at_once(runner, monkeypatch,
                                                     argv):
     # A monic count at d = 10^6, H = 100 has about 2.3e6 digits.
-    _forbid(monkeypatch, "cli.build_sieve")
+    _forbid(monkeypatch, "arith.build_sieve")
     start = time.perf_counter()
     result = runner.invoke(cli.main, argv)
     assert time.perf_counter() - start < 1
@@ -369,13 +369,13 @@ def test_density_sizes_the_sieve_to_what_the_routes_need(runner, monkeypatch,
     # The series needs a sieve to S // 2 for its root primes, the product
     # one to its prime-count-th prime; one sieve serves the larger need.
     limits = []
-    build = cli.build_sieve
+    build = arith.build_sieve
 
     def recorded(limit, **kwargs):
         limits.append(limit)
         return build(limit, **kwargs)
 
-    monkeypatch.setattr(cli, "build_sieve", recorded)
+    monkeypatch.setattr(arith, "build_sieve", recorded)
     result = runner.invoke(cli.main, ["density", "-d", "2", "--kind", "rho",
                                       *argv])
     assert result.exit_code == 0
@@ -592,7 +592,7 @@ def test_error_term_height_one_exits_2(runner):
 ], ids=["out-of-order-past-cap", "one-then-past-cap", "zero"])
 def test_error_term_bad_heights_exit_2_before_any_sizing(runner, monkeypatch,
                                                          heights, message):
-    _forbid(monkeypatch, "counting.sieve_limit", "cli.build_sieve")
+    _forbid(monkeypatch, "counting.sieve_limit", "arith.build_sieve")
     result = runner.invoke(cli.main, ["error-term", "--variant", "monic",
                                       "-d", "3", "--heights", heights])
     assert result.exit_code == 2

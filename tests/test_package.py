@@ -56,16 +56,19 @@ def test_import_starts_no_blas_worker_threads():
 
 
 def test_cli_import_loads_only_what_every_subcommand_needs():
-    # counting, density and report load when a command that needs them
-    # runs; the package still sets the BLAS thread count first.
-    blas, loaded = _after_import(
+    # arith, counting, density and report, and numpy with them, load when
+    # a command that needs them runs; the package still sets the BLAS
+    # thread count first.
+    blas, numpy, loaded = _after_import(
         "import sys, eisencount.cli; print(os.environ['OPENBLAS_NUM_THREADS']);"
+        " print('numpy' in sys.modules);"
         " print(*sorted(m for m in sys.modules if m.startswith('eisencount')))"
     ).splitlines()
     assert blas == "1"
-    assert loaded.split() == ["eisencount", "eisencount.arith",
-                              "eisencount.cli", "eisencount.errors",
-                              "eisencount.oracle", "eisencount.results"]
+    assert numpy == "False"
+    assert loaded.split() == ["eisencount", "eisencount.cli",
+                              "eisencount.errors", "eisencount.oracle",
+                              "eisencount.results"]
 
 
 def test_import_keeps_a_caller_set_blas_thread_count():
@@ -101,6 +104,49 @@ def test_cli_entry_exits_with_the_import_heap_frozen():
     count, frozen = done.stdout.splitlines()
     assert count == "6"
     assert re.fullmatch(r"frozen [1-9]\d*", frozen)
+
+
+# At exit: is numpy loaded, and is either module's namespace left for
+# the exit collection to walk?
+_UNFROZEN_AT_EXIT = """
+import atexit, gc, sys
+def unfrozen(name):
+    namespace = vars(sys.modules[name])
+    return any(obj is namespace for obj in gc.get_objects())
+atexit.register(lambda: print('numpy' in sys.modules, unfrozen('numpy'),
+                              unfrozen('eisencount.counting')))
+"""
+
+
+def test_cli_entry_freezes_what_the_command_loaded():
+    # numpy and counting load inside the command, after the first freeze.
+    done = _run_cli("count", "-d", "2", "-H", "2", "--variant", "monic",
+                    prelude=_UNFROZEN_AT_EXIT)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["6", "True False False"]
+
+
+_NUMPY_AT_EXIT = ("import atexit, sys; atexit.register(lambda: "
+                  "print('numpy', 'numpy' in sys.modules))")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--help"], 0),
+    (["count", "--help"], 0),
+    (["count", "-d", "1", "-H", "2", "--variant", "monic"], 2),
+    (["--enumeration-budget", "10", "count", "-d", "3", "-H", "20",
+      "--variant", "general", "--method", "both"], 3),
+    (["count", "-d", "1000000", "-H", "100", "--variant", "monic"], 3),
+    (["density", "-d", "2", "--kind", "theta", "--method", "series",
+      "--prime-count", "5"], 2),
+], ids=["help", "count-help", "usage", "box-refusal", "digit-refusal",
+        "density-usage"])
+def test_cli_entry_that_computes_nothing_never_loads_numpy(argv, code):
+    # Help, usage errors and the refusals that need no array finish
+    # before any layer that imports numpy loads.
+    done = _run_cli(*argv, prelude=_NUMPY_AT_EXIT)
+    assert done.returncode == code, done.stderr
+    assert done.stdout.splitlines()[-1] == "numpy False"
 
 
 # A library result outside the possible range: a broken invariant.
