@@ -21,7 +21,8 @@ spf(n) >= 3, m <= n / 3, so hi <= 3 * lo reads only earlier pieces.
 The tables are as narrow as their values: int8 for mu and int32 for phi
 (phi(n) < n <= 2 * MAX_SIEVE_LIMIT + 1 < 2^31), so callers widen them
 before they multiply.  :func:`odd_table_pieces` streams both at the odd
-n up to three times a table's limit, phi only below a given cut.
+n up to three times a table's limit, phi only below a given cut, in
+pieces of SERIES_PIECE = SEGMENT // 2 odd n.
 The one exception is :func:`mobius_segment`: mu at every n of any range
 [lo, hi), from the primes up to isqrt(hi - 1) alone, in memory that does
 not depend on lo.  The counters read mu from it alone.
@@ -37,17 +38,23 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceededError
-from .results import DEFAULT_SIEVE_LIMIT
+# The cap and build_sieve's checks live in results, which the CLI refuses
+# by before it loads this module; MAX_SIEVE_LIMIT stays importable here.
+from .results import DEFAULT_SIEVE_LIMIT, MAX_SIEVE_LIMIT, check_sieve_limit
 
-# Hard cap on sieve size: the prime list there is about 46 MB.  Counts sieve
-# only to isqrt(H) (general) or about H^(2/3) (monic), so the cap bounds the
-# density routes.
-MAX_SIEVE_LIMIT = 10**8
-
-# Odd n per piece that the tables and the prime list are marked in.
-# Independent of the general count's segments, which grow with isqrt(H).
+# Odd n per piece that the tables and the prime list are marked in, and
+# the most terms the product's power sums take at once.  Independent of
+# the general count's segments, which grow with isqrt(H).
 SEGMENT = 1 << 16
+
+# Odd n per piece that odd_table_pieces streams to the series.  The series'
+# stage sums hold d + k + 4 uint64 arrays over a piece's terms (remainders,
+# limb, quotient, numerators and moduli) on top of _piece's int32
+# temporaries, so half a SEGMENT lowers its peak beyond the tables from
+# about 2.2 to 1.3 MB at rho_2, S = 2e6.  The tables, the prime list and
+# the power sums keep SEGMENT: halving those too cost about 6% of a
+# density run.
+SERIES_PIECE = SEGMENT // 2
 
 
 # eq=False: identity comparison and hashing; the arrays make field-wise
@@ -160,13 +167,7 @@ def build_sieve(limit: int = DEFAULT_SIEVE_LIMIT, *,
     BudgetExceededError
         If ``limit > min(max_limit, MAX_SIEVE_LIMIT)``, before allocating.
     """
-    if limit < 2:
-        raise ValueError(f"sieve limit must be at least 2, got {limit}")
-    budget = min(max_limit, MAX_SIEVE_LIMIT)
-    if limit > budget:
-        raise BudgetExceededError(
-            f"sieve limit {limit} exceeds the memory budget {budget}"
-        )
+    check_sieve_limit(limit, max_limit)
     root = math.isqrt(2 * limit + 1)
     small = np.arange(root + 1) >= 2
     for p in range(2, math.isqrt(root) + 1):
@@ -386,10 +387,11 @@ def odd_table_pieces(limit: int, sieve: ArithSieve, mu: np.ndarray,
     Entry i of a piece is n = lo + 2i.  ``mu`` and ``phi`` are the tables
     of :func:`mobius_table` and :func:`totient_table` to at least
     third = limit // 3.  The pieces, in ascending order and of at most
-    SEGMENT entries, are slices of them up to third.  Above it each piece is computed and dropped: an odd n has
-    spf(n) >= 3, so m = n / spf(n) <= n / 3 <= third, and :func:`_piece`
-    marks spf(n) over the odd primes up to isqrt(limit) and reads f(m)
-    from the tables at m >> 1.  ``limit`` may reach 2 * sieve.limit + 1.
+    SERIES_PIECE entries, are slices of them up to third.  Above it each
+    piece is computed and dropped: an odd n has spf(n) >= 3, so
+    m = n / spf(n) <= n / 3 <= third, and :func:`_piece` marks spf(n)
+    over the odd primes up to isqrt(limit) and reads f(m) from the tables
+    at m >> 1.  ``limit`` may reach 2 * sieve.limit + 1.
 
     phi is wanted only below ``cut``: ``phi`` need only reach min(third,
     cut), and each piece's phi holds at least its entries below the cut,
@@ -398,13 +400,13 @@ def odd_table_pieces(limit: int, sieve: ArithSieve, mu: np.ndarray,
     """
     third = limit // 3
     stored = (third + 1) // 2  # the odd n <= third
-    for i in range(1, stored, SEGMENT):
-        end = min(i + SEGMENT, stored)
+    for i in range(1, stored, SERIES_PIECE):
+        end = min(i + SERIES_PIECE, stored)
         yield 2 * i + 1, mu[i:end], phi[i:end]
     primes = sieve._odd_marking_primes(limit)
     tables = ((mu, _mu_factor), (phi, _phi_factor))
-    for lo in range(max((third + 1) | 1, 3), limit + 1, 2 * SEGMENT):
-        hi = min(lo + 2 * SEGMENT, limit + 1)
+    for lo in range(max((third + 1) | 1, 3), limit + 1, 2 * SERIES_PIECE):
+        hi = min(lo + 2 * SERIES_PIECE, limit + 1)
         size = (hi - lo + 1) // 2
         both = lo < cut
         out = np.empty(size, mu.dtype), np.empty(size * both, phi.dtype)

@@ -14,7 +14,9 @@ help, shell completion and click's usage errors run without numpy.  Each
 command imports its own layers when it runs, after its checks that need
 none: ``count`` and ``verify`` ``counting``, ``density`` the density
 layer, ``table`` and ``error-term`` ``report``, which brings in both, and
-every command that sizes a sieve ``arith``.
+every command that sizes a sieve ``arith``.  Those checks, the height
+caps, the order of ``--heights`` and the sieve limit among them, come
+from ``results``, so each such refusal runs without numpy too.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ from .oracle import brute_count_general, brute_count_monic
 from .results import (DEFAULT_ENUMERATION_BUDGET, DEFAULT_PRECISION_BITS,
                       DEFAULT_PRIME_COUNT, DEFAULT_SERIES_LIMIT,
                       DEFAULT_SIEVE_LIMIT, KINDS, MIN_PRECISION_BITS,
-                      VARIANTS, check_box)
+                      VARIANTS, check_box, check_height, check_heights,
+                      check_sieve_limit)
 
 
 @dataclass(frozen=True)
@@ -138,6 +141,13 @@ def _counters(variant: str):
     return counting.count_general_eisenstein, brute_count_general
 
 
+def _sieve_size(cfg: CliConfig, needed: int) -> int:
+    """The sieve limit a command needs, refused before any layer loads."""
+    limit = max(needed, 2)
+    check_sieve_limit(limit, cfg.sieve_limit)
+    return limit
+
+
 def _sieve_for(cfg: CliConfig, needed: int):
     """Build a sieve big enough for the command, capped by --sieve-limit."""
     from .arith import build_sieve
@@ -214,10 +224,13 @@ def main(ctx, sieve_limit, enumeration_budget, precision_bits, output_format):
 @_guarded
 def cmd_count(cfg: CliConfig, degree, height, variant, method):
     """Count Eisenstein polynomials of one degree and height bound."""
-    # Refuse an oversized box or count before numpy loads with counting.
+    # Refuse an oversized box, count or height before numpy loads with
+    # counting.
     if method != "exact":
         check_box(variant, degree, height, cfg.enumeration_budget)
     _check_digits(variant, degree, height)
+    if method != "brute":
+        check_height(variant, height)
     from .counting import sieve_limit
     exact = brute = None
     fast_fn, brute_fn = _counters(variant)
@@ -256,7 +269,6 @@ def cmd_density(cfg: CliConfig, degree, kind, prime_count, series_limit,
                               ("--series-limit", series_limit, series)):
         if value is not None and not used:
             raise click.UsageError(f"{flag} does not apply to --method {method}")
-    from .density import rho_product, rho_series, theta_product, theta_series
     # One sieve sized for every route, so a refusal comes before any work:
     # the product reads its primes, the series the root primes to isqrt(S),
     # which a sieve to S // 2 holds.
@@ -267,16 +279,22 @@ def cmd_density(cfg: CliConfig, degree, kind, prime_count, series_limit,
     if series:
         series_limit = series_limit or DEFAULT_SERIES_LIMIT
         sizes.append(series_limit // 2)
-    sieve = _sieve_for(cfg, max(sizes))
+    limit = _sieve_size(cfg, max(sizes))
+    from .density import rho_product, rho_series, theta_product, theta_series
+    sieve = _sieve_for(cfg, limit)
+    # The series runs first, so its mu/phi tables and pieces are freed
+    # before the product builds the prime list and its power sums, and the
+    # process never holds both routes' arrays.  Its estimate still goes
+    # last: lines, separation and disjointness checks stay product-first.
     estimates = []
-    if product:
-        fn = theta_product if kind == "theta" else rho_product
-        estimates.append(fn(degree, sieve, prime_count=prime_count,
-                            precision_bits=cfg.precision_bits))
     if series:
         fn = theta_series if kind == "theta" else rho_series
         estimates.append(fn(degree, sieve, series_limit=series_limit,
                             precision_bits=cfg.precision_bits))
+    if product:
+        fn = theta_product if kind == "theta" else rho_product
+        estimates.insert(0, fn(degree, sieve, prime_count=prime_count,
+                               precision_bits=cfg.precision_bits))
     for est in estimates:
         if est.lower <= 0:
             from .report import not_separated
@@ -307,9 +325,10 @@ def cmd_density(cfg: CliConfig, degree, kind, prime_count, series_limit,
 @_guarded
 def cmd_table(cfg: CliConfig, degrees, prime_count, fmt):
     """Tabulate theta and rho over a degree range at display precision."""
-    from . import report
     d_min, d_max = degrees
-    sieve = _sieve_for(cfg, _nth_prime_bound(prime_count))
+    limit = _sieve_size(cfg, _nth_prime_bound(prime_count))
+    from . import report
+    sieve = _sieve_for(cfg, limit)
     table = report.density_table(d_min, d_max, sieve, prime_count=prime_count,
                                  precision_bits=cfg.precision_bits)
     _emit(fmt or cfg.output_format, table)
@@ -369,9 +388,11 @@ def cmd_verify(cfg: CliConfig, max_degree, max_height):
 @_guarded
 def cmd_error_term(cfg: CliConfig, variant, degree, heights, prime_count, fmt):
     """Profile exact counts against main terms along a height ladder."""
+    check_heights(heights)  # bad usage before any sizing refusal
+    for h in heights:
+        check_height(variant, h)
     from . import report
     from .counting import sieve_limit
-    report.check_heights(heights)  # bad usage before any sizing refusal
     needed = max(_nth_prime_bound(prime_count),
                  *(sieve_limit(variant, h) for h in heights))
     _check_digits(variant, degree, max(heights))

@@ -65,17 +65,11 @@ import math
 import numpy as np
 
 from .arith import ArithSieve, factorize, mobius_segment, phi_bounded
-from .errors import BudgetExceededError, check_degree_height
-from .results import VARIANTS, ExactCount
-
-# Largest height a monic count accepts.  At the cap the sum sieves to
-# 4.6e6, and monic_sum_bound is about 7e11, far below 2^63.
-MAX_MONIC_HEIGHT = 10**10
-
-# Largest height a general count accepts.  Its time grows about as H: the
-# cap takes a few minutes.  Every quotient H // j and every n of
-# mobius_segment then stays below 2^31, and block_sum_bound below 2^63.
-MAX_GENERAL_HEIGHT = 10**9
+from .errors import check_degree_height
+# The height caps live in results, which the CLI refuses by before it
+# loads this module; they stay importable from here.
+from .results import (MAX_GENERAL_HEIGHT, MAX_MONIC_HEIGHT, ExactCount,
+                      check_height)
 
 
 def count_monic_s(d: int, s: int, H: int, sieve: ArithSieve) -> int:
@@ -227,17 +221,10 @@ def sieve_limit(variant: str, H: int) -> int:
     isqrt(H) for general counts, the cut H // A (about H^(2/3)) for monic
     ones, and never below 2, build_sieve's least limit.  A height above
     the variant's cap, MAX_MONIC_HEIGHT or MAX_GENERAL_HEIGHT, raises
-    BudgetExceededError, so a caller can refuse it before it allocates
-    anything.
+    BudgetExceededError (:func:`results.check_height`), so a caller can
+    refuse it before it allocates anything.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {tuple(VARIANTS)}")
-    if H < 1:
-        raise ValueError(f"height bound must be at least 1, got {H}")
-    cap = MAX_MONIC_HEIGHT if variant == "monic" else MAX_GENERAL_HEIGHT
-    if H > cap:
-        raise BudgetExceededError(
-            f"{variant} height {H} exceeds the cap {cap}")
+    check_height(variant, H)
     if variant == "general":
         return max(math.isqrt(H), 2)
     return max(H // _split(H), 2)

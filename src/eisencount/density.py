@@ -90,13 +90,16 @@ the sieve's root primes, and the product reads only its prime list.  An
 odd s has p = spf(s) >= 3, so m = s / p <= S / 3, and mu(s) and phi(s)
 follow from mu(m) and phi(m) by the tables' own recurrence.  So the odd
 moduli up to S // 3 are read from the tables, which hold only odd n, in
-contiguous slices, and those above come in pieces of at most SEGMENT,
-each with its spf from marking the odd primes up to isqrt(S) at stride
-2p, filled from the tables' entries at m >> 1, summed and dropped
+contiguous slices, and those above come in pieces, each with its spf
+from marking the odd primes up to isqrt(S) at stride 2p, filled from the
+tables' entries at m >> 1, summed and dropped
 (:func:`arith.odd_table_pieces`); phi stops at the cut 2^ceil(P/d)
-when that comes first.  The tables take at most 5 ((S // 3 + 1) // 2)
-bytes, and a sieve to n serves every S <= 2n + 1, as its root primes
-reach isqrt(2n + 1).
+when that comes first.  Both kinds of piece hold at most SERIES_PIECE =
+SEGMENT // 2 odd moduli, as each term's stage sums take d + k + 4 uint64
+arrays: at rho_2 and S = 2e6 the peak beyond the tables is 1.3 MB, not
+the 2.2 MB of pieces of SEGMENT.  The tables take at most
+5 ((S // 3 + 1) // 2) bytes, and a sieve to n serves every S <= 2n + 1,
+as its root primes reach isqrt(2n + 1).
 """
 
 from __future__ import annotations

@@ -2,14 +2,17 @@
 
 Kept apart from both routes so that neither imports the other: the
 brute-force oracle stays an independent check on inclusion-exclusion.
-It also holds the variants' and kinds' exponents and every default the
-CLI declares an option with, so that the CLI loads neither numpy nor a
-computing layer until a command runs.  Needs only the standard library.
+It also holds the variants' and kinds' exponents, every default the CLI
+declares an option with, and the caps and checks a command refuses by,
+so that the CLI loads neither numpy nor a computing layer until a
+command runs, and refuses without either.  Needs only the standard
+library.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import BudgetExceededError, InvariantError
 
@@ -34,6 +37,63 @@ MIN_PRECISION_BITS = 60
 DEFAULT_PRECISION_BITS = 96
 DEFAULT_PRIME_COUNT = 10000
 DEFAULT_SERIES_LIMIT = 10**6
+
+# Hard cap on sieve size: the prime list there is about 46 MB.  Counts sieve
+# only to isqrt(H) (general) or about H^(2/3) (monic), so the cap bounds the
+# density routes.
+MAX_SIEVE_LIMIT = 10**8
+
+# Largest height a monic count accepts.  At the cap the sum sieves to
+# 4.6e6, and counting.monic_sum_bound is about 7e11, far below 2^63.
+MAX_MONIC_HEIGHT = 10**10
+
+# Largest height a general count accepts.  Its time grows about as H: the
+# cap takes a few minutes.  Every quotient H // j and every n of
+# arith.mobius_segment then stays below 2^31, and counting.block_sum_bound
+# below 2^63.
+MAX_GENERAL_HEIGHT = 10**9
+
+
+def check_sieve_limit(limit: int, max_limit: int) -> None:
+    """The checks of arith.build_sieve, made before anything is allocated.
+
+    ValueError if ``limit < 2``; BudgetExceededError if ``limit`` exceeds
+    min(max_limit, MAX_SIEVE_LIMIT): a caller's budget can only lower the
+    hard cap, never raise it.
+    """
+    if limit < 2:
+        raise ValueError(f"sieve limit must be at least 2, got {limit}")
+    budget = min(max_limit, MAX_SIEVE_LIMIT)
+    if limit > budget:
+        raise BudgetExceededError(
+            f"sieve limit {limit} exceeds the memory budget {budget}"
+        )
+
+
+def check_height(variant: str, H: int) -> None:
+    """ValueError unless the variant is known and H >= 1.
+
+    BudgetExceededError if H is above the variant's cap, MAX_MONIC_HEIGHT
+    or MAX_GENERAL_HEIGHT.
+    """
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {tuple(VARIANTS)}")
+    if H < 1:
+        raise ValueError(f"height bound must be at least 1, got {H}")
+    cap = MAX_MONIC_HEIGHT if variant == "monic" else MAX_GENERAL_HEIGHT
+    if H > cap:
+        raise BudgetExceededError(
+            f"{variant} height {H} exceeds the cap {cap}")
+
+
+def check_heights(heights: Sequence[int]) -> None:
+    """ValueError unless the heights are strictly increasing, each >= 2."""
+    if not heights:
+        raise ValueError("need at least one height")
+    if any(h < 2 for h in heights):
+        raise ValueError("heights must all be at least 2")
+    if any(b <= a for a, b in zip(heights, heights[1:])):
+        raise ValueError("heights must be strictly increasing")
 
 
 def box_size(variant: str, d: int, H: int) -> int:

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eisencount import arith, counting
-from eisencount.arith import (SEGMENT, build_sieve, euler_phi, factorize,
+from eisencount import arith, counting, results
+from eisencount.arith import (SEGMENT, SERIES_PIECE, build_sieve, euler_phi, factorize,
                               mobius, mobius_table, omega, phi_bounded, tau,
                               totient_table)
 from eisencount.counting import (DIRECT_HEIGHT, count_general_eisenstein,
@@ -134,8 +134,9 @@ def test_no_computation_builds_the_spf_table():
 
 def test_max_limit_cannot_raise_the_hard_cap(monkeypatch):
     # A tiny cap stands in for the real one, so a refusal that came too
-    # late would allocate kilobytes, not gigabytes.
-    monkeypatch.setattr(arith, "MAX_SIEVE_LIMIT", 1000)
+    # late would allocate kilobytes, not gigabytes.  The cap lives in
+    # results, whose check build_sieve calls.
+    monkeypatch.setattr(results, "MAX_SIEVE_LIMIT", 1000)
     assert build_sieve(1000).limit == 1000
     with pytest.raises(BudgetExceededError):
         build_sieve(1001)
@@ -448,10 +449,15 @@ def test_tables_from_a_larger_sieve_match_an_exact_sieve(limit, big_sieve):
 
 # Tables to a third serve the odd n up to 3 * third + 2.
 # 2 * 257^2 + 1 and 3 * 257^2 - 1 put 257^2, whose spf a piece must mark
-# from p*p, above the third; 6 * SEGMENT + 7 reads two pieces from the
-# tables.
+# from p*p, above the third; 6 * SEGMENT + 7 reads two full pieces from
+# the tables.  Pieces hold SERIES_PIECE odd n: 3 * SERIES_PIECE ends a full
+# computed piece and + 1 starts one more; 3 * SEGMENT + 3 ends a full
+# piece of the tables' slices and + 9 starts one more.
 @pytest.mark.parametrize("limit", [1, 2, 3, 4, 5, 6, 7, 2 * SEGMENT + 1,
-                                   2 * SEGMENT + 2, 3 * SEGMENT + 7,
+                                   2 * SEGMENT + 2, 3 * SERIES_PIECE - 3,
+                                   3 * SERIES_PIECE, 3 * SERIES_PIECE + 1,
+                                   3 * SEGMENT + 1, 3 * SEGMENT + 3,
+                                   3 * SEGMENT + 7, 3 * SEGMENT + 9,
                                    6 * SEGMENT + 7, 2 * 257**2 + 1,
                                    3 * 257**2 - 1])
 def test_odd_table_pieces_give_every_odd_modulus_once(limit):
@@ -464,7 +470,8 @@ def test_odd_table_pieces_give_every_odd_modulus_once(limit):
     pieces = list(arith.odd_table_pieces(limit, sieve, mu, phi, limit + 1))
     start = 3
     for lo, mu_piece, phi_piece in pieces:
-        assert lo == start and 0 < mu_piece.size == phi_piece.size <= SEGMENT
+        assert (lo == start
+                and 0 < mu_piece.size == phi_piece.size <= SERIES_PIECE)
         assert (mu_piece.dtype, phi_piece.dtype) == (np.int8, np.int32)
         # Read from the tables up to the third, filled above it.
         last = lo + 2 * (mu_piece.size - 1)
@@ -480,8 +487,12 @@ def test_odd_table_pieces_give_every_odd_modulus_once(limit):
                               table(limit, exact)[3::2]), table.__name__
 
 
+# At 6 * SEGMENT + 7 the computed pieces start at 2 * SEGMENT + 3 and
+# every SERIES_PIECE odd n after it: 3 * SEGMENT + 3 starts the second,
+# and 4 * SEGMENT + 3 the third.
 @pytest.mark.parametrize("limit, cut", [
     (6 * SEGMENT + 7, 1 << 10), (6 * SEGMENT + 7, 2 * SEGMENT),
+    (6 * SEGMENT + 7, 3 * SEGMENT + 3), (6 * SEGMENT + 7, 3 * SEGMENT + 4),
     (6 * SEGMENT + 7, 4 * SEGMENT + 1), (3 * 257**2 - 1, 3),
     (3 * SEGMENT + 7, 1 << 48)])
 def test_odd_table_pieces_fill_phi_only_below_the_cut(limit, cut):

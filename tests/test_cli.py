@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from eisencount import arith, cli, counting, density, report
+from eisencount import arith, cli, counting, density, report, results
 from eisencount.counting import (MAX_GENERAL_HEIGHT, MAX_MONIC_HEIGHT,
                                  ExactCount, count_monic_eisenstein,
                                  sieve_limit)
@@ -106,7 +106,7 @@ def test_sieve_limit_env_refuses_large_heights(runner, monkeypatch):
 
 
 def test_sieve_limit_flag_cannot_raise_the_hard_cap(runner, monkeypatch):
-    monkeypatch.setattr(arith, "MAX_SIEVE_LIMIT", 1000)
+    monkeypatch.setattr(results, "MAX_SIEVE_LIMIT", 1000)
     _forbid(monkeypatch, "counting.count_monic_eisenstein")
     # The cut at 10^5 is 2173, over the patched cap of 1000.
     result = runner.invoke(cli.main, ["--sieve-limit", str(10**10), "count",
@@ -345,6 +345,32 @@ def test_density_conflicting_truncations_exit_2(runner, args, flag):
     assert result.exit_code == 2
     assert result.stdout == ""
     assert flag in result.stderr
+
+
+def test_density_both_runs_the_series_first_and_prints_the_product_first(
+        runner, monkeypatch):
+    # The series' tables are gone before the product builds its primes;
+    # the output keeps the product's line first.
+    calls = []
+
+    def spy(name):
+        route = getattr(density, name)
+
+        def recorded(*args, **kwargs):
+            calls.append(name)
+            return route(*args, **kwargs)
+        monkeypatch.setattr(density, name, recorded)
+
+    spy("rho_product")
+    spy("rho_series")
+    result = runner.invoke(cli.main, ["density", "-d", "2", "--kind", "rho",
+                                      "--method", "both",
+                                      "--series-limit", "20000"])
+    assert result.exit_code == 0
+    assert calls == ["rho_series", "rho_product"]
+    product, series = result.stdout.splitlines()
+    assert product.endswith("via euler_product prime_count=10000")
+    assert series.endswith("via mobius_series series_limit=20000")
 
 
 def test_density_both_refuses_before_any_work(runner, monkeypatch):

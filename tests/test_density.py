@@ -17,8 +17,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import eisencount
-from eisencount.arith import (MAX_SIEVE_LIMIT, SEGMENT, ArithSieve,
-                              build_sieve, euler_phi, mobius)
+from eisencount.arith import (MAX_SIEVE_LIMIT, SEGMENT, SERIES_PIECE,
+                              ArithSieve, build_sieve, euler_phi, mobius,
+                              mobius_table, totient_table)
 from eisencount.density import (GUARD_BITS, KINDS, POWERS, DensityEstimate,
                                 _cached_power_sums, _exp_neg, _log_bracket,
                                 _prime_power_sums, _stage_sums,
@@ -206,8 +207,15 @@ def _reference_series_sum(kind, d, sieve, limits, precisions):
     return out
 
 
+# The series reads the odd moduli to S // 3 from its tables and computes
+# those above, each in pieces of SERIES_PIECE.  3 * SERIES_PIECE ends one
+# full computed piece (3 * SEGMENT two), and one more modulus starts the
+# next; at 3 * SEGMENT + 3 the tables' slices end a full piece, and at
+# + 9 one more starts.
 SERIES_LIMITS = (1, 2, 3, SEGMENT + 1, SEGMENT + 2, 2 * SEGMENT + 2,
-                 3 * SEGMENT)
+                 3 * SERIES_PIECE - 3, 3 * SERIES_PIECE, 3 * SERIES_PIECE + 1,
+                 3 * SEGMENT, 3 * SEGMENT + 1, 3 * SEGMENT + 3,
+                 3 * SEGMENT + 9)
 SERIES_DEGREES = (2, 3, 6, 7, 10, 40, 100)
 SERIES_BITS = (60, 61, 96, 127, 1024)
 
@@ -230,8 +238,7 @@ def series_reference(big_sieve):
 @pytest.mark.parametrize("fn", [theta_series, rho_series], ids=["theta", "rho"])
 def test_series_segments_sum_every_term_once(big_sieve, series_reference, fn,
                                              limit):
-    # Segments start at s = 2, so SEGMENT + 2 ends the first exactly.  At
-    # limit 2 the one term, s = 2, divides exactly, so an inexact count
+    # At limit 2 the one term, s = 2, divides exactly, so an inexact count
     # that is not read from the remainders widens the bracket by one ulp.
     kind = fn.__name__.split("_")[0]
     for d in SERIES_DEGREES:
@@ -719,9 +726,9 @@ def test_series_streams_the_upper_half_of_its_terms(big_sieve):
     # The tables hold the odd moduli up to S // 3 (int8 mu and int32 phi,
     # 5 bytes an odd modulus); the odd moduli above come one piece at a
     # time, and the even ones from their odd halves.  The rest of the peak
-    # is one piece and one call of the kernel, 4.5 uint64 arrays of SEGMENT
-    # entries (2.4 MB), for a peak of 4.0 MB.  Full tables to S // 3 would
-    # add 1.7 MB; this bound refuses them.
+    # is one piece and one call of the kernel, for a peak of 2.9 MB (3.9 MB
+    # with pieces of SEGMENT).  Full tables to S // 3 would add 1.7 MB;
+    # this bound refuses them.
     S = 2 * 10**6
     tracemalloc.start()
     try:
@@ -730,6 +737,23 @@ def test_series_streams_the_upper_half_of_its_terms(big_sieve):
     finally:
         tracemalloc.stop()
     assert peak <= 5 * ((S // 3 + 1) // 2) + 5 * 8 * SEGMENT
+
+
+def test_series_pieces_hold_half_a_segment_of_terms(big_sieve):
+    # Beyond its mu and phi tables (1.67 MB at S // 3), rho_2 holds one
+    # piece of SERIES_PIECE odd moduli and its stage sums: d + k + 4 = 8
+    # uint64 arrays over the piece's terms, and _piece's int32 temporaries.
+    # That comes to 1.28 MB; pieces of SEGMENT held 2.24 MB.
+    S = 2 * 10**6
+    tables = (mobius_table(S // 3, big_sieve).nbytes
+              + totient_table(S // 3, big_sieve).nbytes)
+    tracemalloc.start()
+    try:
+        rho_series(2, big_sieve, series_limit=S)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - tables < 1.5 * 10**6
 
 
 def test_power_sum_pieces_hold_at_most_a_segment_of_remainders(big_sieve):

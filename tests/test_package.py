@@ -139,8 +139,13 @@ _NUMPY_AT_EXIT = ("import atexit, sys; atexit.register(lambda: "
     (["count", "-d", "1000000", "-H", "100", "--variant", "monic"], 3),
     (["density", "-d", "2", "--kind", "theta", "--method", "series",
       "--prime-count", "5"], 2),
+    (["count", "-d", "3", "-H", "10000000001", "--variant", "monic"], 3),
+    (["error-term", "--variant", "monic", "-d", "3", "--heights", "3,2"], 2),
+    (["--sieve-limit", "10", "density", "-d", "2", "--kind", "theta"], 3),
+    (["--sieve-limit", "10", "table"], 3),
 ], ids=["help", "count-help", "usage", "box-refusal", "digit-refusal",
-        "density-usage"])
+        "density-usage", "height-cap-refusal", "heights-usage",
+        "density-sieve-refusal", "table-sieve-refusal"])
 def test_cli_entry_that_computes_nothing_never_loads_numpy(argv, code):
     # Help, usage errors and the refusals that need no array finish
     # before any layer that imports numpy loads.
