@@ -38,8 +38,6 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-# The cap and build_sieve's checks live in results, which the CLI refuses
-# by before it loads this module; MAX_SIEVE_LIMIT stays importable here.
 from .results import DEFAULT_SIEVE_LIMIT, MAX_SIEVE_LIMIT, check_sieve_limit
 
 # Odd n per piece that the tables and the prime list are marked in, and

@@ -16,7 +16,8 @@ none: ``count`` and ``verify`` ``counting``, ``density`` the density
 layer, ``table`` and ``error-term`` ``report``, which brings in both, and
 every command that sizes a sieve ``arith``.  Those checks, the height
 caps, the order of ``--heights`` and the sieve limit among them, come
-from ``results``, so each such refusal runs without numpy too.
+from ``results``, and ``table``'s degree range is checked as it is
+parsed, so each such refusal runs without numpy too.
 """
 
 from __future__ import annotations
@@ -141,29 +142,31 @@ def _counters(variant: str):
     return counting.count_general_eisenstein, brute_count_general
 
 
-def _sieve_size(cfg: CliConfig, needed: int) -> int:
-    """The sieve limit a command needs, refused before any layer loads."""
+def _sieve_for(cfg: CliConfig, needed: int):
+    """Build a sieve big enough for the command, capped by --sieve-limit.
+
+    The limit is refused before ``arith``, and numpy with it, loads.
+    """
     limit = max(needed, 2)
     check_sieve_limit(limit, cfg.sieve_limit)
-    return limit
-
-
-def _sieve_for(cfg: CliConfig, needed: int):
-    """Build a sieve big enough for the command, capped by --sieve-limit."""
     from .arith import build_sieve
-    return build_sieve(max(needed, 2), max_limit=cfg.sieve_limit)
+    return build_sieve(limit, max_limit=cfg.sieve_limit)
 
 
 def _parse_degrees(ctx, param, value: str) -> tuple[int, int]:
-    """A single degree like ``7`` or a range like ``2..10``, as (lo, hi)."""
+    """A single degree like ``7`` or a range like ``2..10``, as (lo, hi).
+
+    Bad usage unless 2 <= lo <= hi, before the command sizes anything.
+    """
     match = re.fullmatch(r"(\d+)(?:\.\.(\d+))?", value.strip())
     try:
-        if match:
-            return int(match[1]), int(match[2] or match[1])
-    except ValueError:  # more digits than int() converts
-        pass
-    raise click.BadParameter(
-        f"expected a degree or LO..HI range, got {value!r}")
+        lo, hi = int(match[1]), int(match[2] or match[1])
+    except (TypeError, ValueError):  # no match, or more digits than int()
+        raise click.BadParameter(
+            f"expected a degree or LO..HI range, got {value!r}") from None
+    if not 2 <= lo <= hi:
+        raise click.BadParameter(f"need 2 <= LO <= HI, got {lo}..{hi}")
+    return lo, hi
 
 
 def _parse_heights(ctx, param, value: str) -> tuple[int, ...]:
@@ -279,9 +282,8 @@ def cmd_density(cfg: CliConfig, degree, kind, prime_count, series_limit,
     if series:
         series_limit = series_limit or DEFAULT_SERIES_LIMIT
         sizes.append(series_limit // 2)
-    limit = _sieve_size(cfg, max(sizes))
+    sieve = _sieve_for(cfg, max(sizes))
     from .density import rho_product, rho_series, theta_product, theta_series
-    sieve = _sieve_for(cfg, limit)
     # The series runs first, so its mu/phi tables and pieces are freed
     # before the product builds the prime list and its power sums, and the
     # process never holds both routes' arrays.  Its estimate still goes
@@ -326,9 +328,8 @@ def cmd_density(cfg: CliConfig, degree, kind, prime_count, series_limit,
 def cmd_table(cfg: CliConfig, degrees, prime_count, fmt):
     """Tabulate theta and rho over a degree range at display precision."""
     d_min, d_max = degrees
-    limit = _sieve_size(cfg, _nth_prime_bound(prime_count))
+    sieve = _sieve_for(cfg, _nth_prime_bound(prime_count))
     from . import report
-    sieve = _sieve_for(cfg, limit)
     table = report.density_table(d_min, d_max, sieve, prime_count=prime_count,
                                  precision_bits=cfg.precision_bits)
     _emit(fmt or cfg.output_format, table)

@@ -30,9 +30,9 @@ prefix sum of mu, and M(H // k) for k < A comes from
 M(v) = 1 - sum over j >= 2 of M(v // j), smallest v first, with the j of
 one value of v // j taken together (Deleglise-Rivat, "Computing the
 summation of the Moebius function", Exp. Math. 1996).  A is about
-H^(1/3), so the sieve and mu reach only about H^(2/3)
-(A = 1 below DIRECT_HEIGHT).  Both parts sum c_a / -2 in int64, which
-monic_sum_bound keeps from wrapping.
+H^(1/3) at every height, so the sieve and mu reach only about H^(2/3).
+Both parts sum c_a / -2 in int64, which monic_sum_bound keeps from
+wrapping.
 
 General counts carry the extra factor phi_bounded(s, H) = 2 * G(s), with
 G(s) = sum over t | s of mu(t) * (H // t), for which no grouped form is
@@ -66,10 +66,7 @@ import numpy as np
 
 from .arith import ArithSieve, factorize, mobius_segment, phi_bounded
 from .errors import check_degree_height
-# The height caps live in results, which the CLI refuses by before it
-# loads this module; they stay importable from here.
-from .results import (MAX_GENERAL_HEIGHT, MAX_MONIC_HEIGHT, ExactCount,
-                      check_height)
+from .results import ExactCount, check_height
 
 
 def count_monic_s(d: int, s: int, H: int, sieve: ArithSieve) -> int:
@@ -202,17 +199,14 @@ def _add_psi(psi: np.ndarray, lo: int, H: int, mu: np.ndarray, scratch,
             add(view, qj, out=view)
 
 
-# Below this height a monic count sums every modulus directly: the Mertens
-# part costs some 20 numpy calls per value a < A, more than it saves.
-DIRECT_HEIGHT = 1 << 16
-
-
 def _split(H: int) -> int:
-    """A: the values H // s < A go through Mertens values.
+    """A = round(H^(1/3)): the values H // s < A go through Mertens values.
 
-    About H^(1/3), and 1 below DIRECT_HEIGHT.
+    A * A <= H, as :func:`_monic_terms` needs, at every H >= 1: for H <= 7,
+    A is 1 up to H = 3, where the Mertens part is empty, and 2 from H = 4;
+    for H >= 8, A <= x + 1/2 with x = H^(1/3) >= 2, and (x + 1/2)^2 <= x^3.
     """
-    return 1 if H < DIRECT_HEIGHT else round(H ** (1 / 3))
+    return round(H ** (1 / 3))
 
 
 def sieve_limit(variant: str, H: int) -> int:
@@ -368,10 +362,9 @@ def _monic_terms(H: int, A: int, sieve: ArithSieve):
     """
     mu = _mobius(H // A, sieve)
     values, coefficients = _direct_sum(H, A, mu)
-    if A > 1:
-        above_values, above_coefficients = _mertens_sum(H, A, mu, sieve)
-        values = np.concatenate((values, above_values))
-        coefficients = np.concatenate((coefficients, above_coefficients))
+    above_values, above_coefficients = _mertens_sum(H, A, mu, sieve)
+    values = np.concatenate((values, above_values))
+    coefficients = np.concatenate((coefficients, above_coefficients))
     return values.tolist(), [-2 * c for c in coefficients.tolist()]
 
 

@@ -16,12 +16,10 @@ from typing import Iterable, Sequence
 
 from .arith import ArithSieve
 from .counting import count_general_eisenstein, count_monic_eisenstein
-from .density import (DEFAULT_PRECISION_BITS, DEFAULT_PRIME_COUNT,
-                      DensityEstimate, rho_product, theta_product)
+from .density import DensityEstimate, rho_product, theta_product
 from .errors import check_degree
-# check_heights lives in results, which the CLI refuses by before it
-# loads this module; it stays importable from here.
-from .results import VARIANTS, check_heights
+from .results import (DEFAULT_PRECISION_BITS, DEFAULT_PRIME_COUNT, VARIANTS,
+                      check_heights)
 
 PROFILE_COLUMNS = ("variant", "d", "H", "exact", "main", "residual", "ratio")
 TABLE_COLUMNS = ("d", "theta", "rho")

@@ -14,10 +14,11 @@ import pytest
 from click.testing import CliRunner
 
 from eisencount import arith, cli, counting, density, report, results
-from eisencount.counting import (MAX_GENERAL_HEIGHT, MAX_MONIC_HEIGHT,
-                                 ExactCount, count_monic_eisenstein,
+from eisencount.counting import (ExactCount, count_monic_eisenstein,
                                  sieve_limit)
 from eisencount.density import DensityEstimate, theta_product
+from eisencount.oracle import brute_count_monic
+from eisencount.results import MAX_GENERAL_HEIGHT, MAX_MONIC_HEIGHT
 
 
 @pytest.fixture()
@@ -30,6 +31,27 @@ def test_count_both_agrees_and_prints_value(runner):
                                       "--variant", "monic", "--method", "both"])
     assert result.exit_code == 0
     assert result.output.strip() == "6"
+
+
+def test_count_both_checks_the_mertens_sum_by_brute_force(runner,
+                                                          monkeypatch):
+    # At H = 50 the cut is A = round(50^(1/3)) = 4: the values a < 4 of
+    # H // s come from the Mertens sum, and --method both compares the
+    # count they give with the oracle's.
+    calls = []
+    mertens_sum = counting._mertens_sum
+
+    def spy(H, A, mu, sieve):
+        values, coefficients = mertens_sum(H, A, mu, sieve)
+        calls.append((H, A, values.tolist(), coefficients.any()))
+        return values, coefficients
+
+    monkeypatch.setattr(counting, "_mertens_sum", spy)
+    result = runner.invoke(cli.main, ["count", "-d", "2", "-H", "50",
+                                      "--variant", "monic", "--method", "both"])
+    assert result.exit_code == 0, result.output
+    assert calls == [(50, 4, [1, 2, 3], True)]
+    assert result.output == f"{brute_count_monic(2, 50).value}\n" == "2516\n"
 
 
 def test_count_exact_general(runner):

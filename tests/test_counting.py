@@ -14,12 +14,12 @@ from hypothesis import strategies as st
 from eisencount import counting
 from eisencount.arith import (build_sieve, euler_phi, mobius, omega,
                               phi_bounded)
-from eisencount.counting import (MAX_GENERAL_HEIGHT, MAX_MONIC_HEIGHT,
-                                 MIN_SEGMENT, ExactCount, block_sum_bound,
+from eisencount.counting import (MIN_SEGMENT, ExactCount, block_sum_bound,
                                  count_general_eisenstein, count_general_s,
                                  count_monic_eisenstein, count_monic_s,
                                  monic_sum_bound, sieve_limit)
 from eisencount.errors import BudgetExceededError
+from eisencount.results import MAX_GENERAL_HEIGHT, MAX_MONIC_HEIGHT
 
 GOLDENS = Path(__file__).with_name("goldens")
 
@@ -248,8 +248,8 @@ def test_per_modulus_calls_stop_at_square_root(variant, big_sieve, monkeypatch):
        data=st.data())
 def test_monic_sum_matches_per_modulus_reference_at_every_split(d, H, data,
                                                                 sieve):
-    # Below DIRECT_HEIGHT the count sums every modulus directly (A = 1); a
-    # larger A puts the values H // s < A through the Mertens sum.
+    # A = 1 sums every modulus directly; a larger A puts the values
+    # H // s < A through the Mertens sum.
     A = data.draw(st.integers(min_value=1, max_value=math.isqrt(H)), label="A")
     assert counting._evaluate(d, *counting._monic_terms(H, A, sieve)) == \
         _reference_count("monic", d, H, sieve)
@@ -263,11 +263,12 @@ def test_coefficients_match_the_specification_at_every_degree(
         variant, heights, big_sieve):
     # Two finite sums of c_a * (2a+1)^(d-1) that agree for every d have
     # equal coefficients, so equal (a, c) pairs check every degree at once.
-    # Heights to 60 cover the acceptance grid.  65535 and 65536 straddle
-    # DIRECT_HEIGHT; at 2e5 the general tail spans three segments, and
-    # a = 1 and a = 2 recur across them.  General pairs also come from a
-    # first segment that ends just below 29^2, and from three or seven
-    # segments that each end inside a run; monic pairs from several cuts.
+    # Heights to 60 cover the acceptance grid; from H = 4 on, the default
+    # monic cut reaches the Mertens sum.  At 2e5 the general tail spans
+    # three segments, and a = 1 and a = 2 recur across them.  General pairs
+    # also come from a first segment that ends just below 29^2, and from
+    # three or seven segments that each end inside a run; monic pairs from
+    # several cuts.
     for H in heights:
         expected = _reference_coefficients(variant, H, big_sieve)
         if variant == "general":
@@ -324,20 +325,27 @@ def test_two_cuts_agree_at_1e9():
     assert counting._evaluate(3, *counting._monic_terms(H, 500, sieve)) == golden
 
 
+def test_the_cut_squared_stays_within_the_height():
+    # _monic_terms needs A * A <= H; A = 1 only at H <= 3.
+    cuts = [counting._split(H) for H in range(1, 10**6 + 1)]
+    assert all(A * A <= H for H, A in enumerate(cuts, start=1))
+    assert cuts[:4] == [1, 1, 1, 2]
+
+
 def test_monic_sums_fit_in_int64():
     # Raising MAX_MONIC_HEIGHT past this would wrap silently.
     assert monic_sum_bound(MAX_MONIC_HEIGHT) < 2**63
 
 
 def test_sieve_limit():
-    direct = counting.DIRECT_HEIGHT
-    for H in (1, 2, 7, 1000, direct - 1, direct):
+    for H in (1, 2, 7, 1000, 65535, 65536):
         assert sieve_limit("general", H) == max(math.isqrt(H), 2)
         assert 2 <= sieve_limit("monic", H) <= max(H, 2)
     assert sieve_limit("general", MAX_GENERAL_HEIGHT) == 31622
     with pytest.raises(BudgetExceededError, match="general height"):
         sieve_limit("general", MAX_GENERAL_HEIGHT + 1)
-    assert sieve_limit("monic", direct - 1) == direct - 1
+    # The cut H // A, A = round(H^(1/3)), at every height: 65535 // 40.
+    assert sieve_limit("monic", 65535) == 1638
     assert sieve_limit("monic", 10**6) == 10**4
     assert sieve_limit("monic", MAX_MONIC_HEIGHT) == 4642525
     with pytest.raises(BudgetExceededError):
@@ -358,8 +366,9 @@ def test_argument_validation(sieve):
         count_monic_eisenstein(1, 5, sieve)
     with pytest.raises(ValueError):
         count_monic_eisenstein(2, 0, sieve)
-    with pytest.raises(ValueError):
-        count_monic_eisenstein(2, sieve.limit + 1, sieve)
+    # 10^7 needs a sieve to 10^7 // 215 = 46511, over the 10^4 sieve.
+    with pytest.raises(ValueError, match="needs a sieve to 46511"):
+        count_monic_eisenstein(2, 10**7, sieve)
     with pytest.raises(BudgetExceededError):
         count_monic_eisenstein(2, MAX_MONIC_HEIGHT + 1, sieve)
     with pytest.raises(ValueError):

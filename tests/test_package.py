@@ -143,9 +143,13 @@ _NUMPY_AT_EXIT = ("import atexit, sys; atexit.register(lambda: "
     (["error-term", "--variant", "monic", "-d", "3", "--heights", "3,2"], 2),
     (["--sieve-limit", "10", "density", "-d", "2", "--kind", "theta"], 3),
     (["--sieve-limit", "10", "table"], 3),
+    (["table", "--degrees", "1..4"], 2),
+    (["table", "--degrees", "5..4", "--prime-count", "6000000"], 2),
+    (["--sieve-limit", "10", "verify"], 3),
 ], ids=["help", "count-help", "usage", "box-refusal", "digit-refusal",
         "density-usage", "height-cap-refusal", "heights-usage",
-        "density-sieve-refusal", "table-sieve-refusal"])
+        "density-sieve-refusal", "table-sieve-refusal", "degree-usage",
+        "empty-degrees-before-sieve-refusal", "verify-sieve-refusal"])
 def test_cli_entry_that_computes_nothing_never_loads_numpy(argv, code):
     # Help, usage errors and the refusals that need no array finish
     # before any layer that imports numpy loads.
